@@ -11,6 +11,7 @@ intensity scaling of the video.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,10 +261,10 @@ def extract_beats(video: np.ndarray, extrema: ExtremaList) -> list[BeatClip]:
     clips = []
     minima = extrema.minima
     for start in extrema.maxima:
-        following = [m for m in minima if m > start]
-        if not following:
+        k = bisect_right(minima, start)  # minima are strictly increasing
+        if k == len(minima):
             continue
-        end = following[0]
+        end = minima[k]
         clips.append(
             BeatClip(
                 start_frame=int(start),

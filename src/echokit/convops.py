@@ -261,14 +261,21 @@ def conv_factored(
 
 def pad_spatial(x: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
     """Zero-pad the (H, W) axes of an (..., H, W, C) array."""
-    width = [(0, 0)] * (x.ndim - 3) + [(pad_h, pad_h), (pad_w, pad_w), (0, 0)]
-    return np.pad(x, width)
+    *lead, h, w, c = x.shape
+    out = np.zeros((*lead, h + 2 * pad_h, w + 2 * pad_w, c), dtype=x.dtype)
+    out[..., pad_h : pad_h + h, pad_w : pad_w + w, :] = x
+    return out
 
 
 def depthwise_nd(x: np.ndarray, kernels: np.ndarray, padding: str) -> np.ndarray:
     """Per-channel spatial convolution of an (..., H, W, C) array.
 
     Leading axes are treated as batch dims; kernels has shape (C, kh, kw).
+    Taps are summed in row-major order into one output through one
+    scratch buffer, so no temporary is allocated per tap.  Each tap's
+    weights are repeated across a row, so a window row and its weights
+    are both contiguous (out_w * C values) and numpy multiplies whole
+    rows instead of C values at a time.
     """
     kh, kw = kernels.shape[1:]
     if padding == "same":
@@ -277,11 +284,15 @@ def depthwise_nd(x: np.ndarray, kernels: np.ndarray, padding: str) -> np.ndarray
     else:
         padded = x
         out_h, out_w = x.shape[-3] - kh + 1, x.shape[-2] - kw + 1
-    out = None
+    rows = np.repeat(kernels.transpose(1, 2, 0)[:, :, None, :], out_w, axis=2)
+    out = padded[..., :out_h, :out_w, :] * rows[0, 0]
+    term = np.empty_like(out)
     for i in range(kh):
         for j in range(kw):
-            term = padded[..., i : i + out_h, j : j + out_w, :] * kernels[:, i, j]
-            out = term if out is None else out + term
+            if i == 0 and j == 0:
+                continue
+            window = padded[..., i : i + out_h, j : j + out_w, :]
+            out += np.multiply(window, rows[i, j], out=term)
     return out
 
 

@@ -14,7 +14,7 @@ averaged per video before the absolute error.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -316,13 +316,3 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
         raise ConfigurationError(f"{labels_path}: no rows")
     return samples
 
-
-def config_for_frames(frame_shape, encoder_dim=64, padding="same", seed=42) -> EfModelConfig:
-    return EfModelConfig(
-        frame_shape=tuple(frame_shape), encoder_dim=encoder_dim,
-        padding=padding, seed=seed,
-    )
-
-
-def with_seed(config: EfModelConfig, seed: int) -> EfModelConfig:
-    return replace(config, seed=seed)

@@ -8,6 +8,14 @@ into the layer's gradient buffers and returns the input gradient.
 
 A model instance is exclusively owned while forward/backward runs (the
 gradient buffers are mutable); distinct instances are independent.
+
+Training and inference share one forward pass, so the forward passes of
+the encoder layers allocate only their outputs and a fixed number of
+whole-array buffers: no temporary per kernel tap, per pooling-window
+position or per ``np.where`` branch.  Caches hold references to arrays
+the forward pass made anyway, never extra copies: ``MaxPool2d`` keeps
+its four strided window views of the input and its output, and its
+backward recovers first-in-window argmax routing from them.
 """
 
 from __future__ import annotations
@@ -24,9 +32,23 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape):
 
 
 def sigmoid(x):
-    # exp(-|x|) never overflows; recombine by sign.
-    e = np.exp(-np.abs(x))
-    return np.where(np.asarray(x) >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic function of a scalar or array, in two float64 buffers.
+
+    With e = exp(-|x|), which never overflows, this is 1 / (1 + e) for
+    x >= 0 and e / (1 + e) for x < 0.  The numerator max(sign(x), e)
+    picks 1 or e without a mask (e <= 1, and e == 1 at x == 0); the
+    denominator then overwrites e.  The underflow of e to zero beyond
+    |x| ~ 745 is exact to double precision and is not reported.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    with np.errstate(under="ignore"):
+        np.exp(e, out=e)
+    s = np.sign(x, out=np.empty_like(x))
+    np.maximum(s, e, out=s)
+    e += 1.0
+    return np.divide(s, e, out=s)
 
 
 class Layer:
@@ -245,11 +267,13 @@ class DepthwiseSeparable2d(Layer):
             raise ShapeError(
                 f"expected (..., H, W, {self.depthwise.shape[0]}) input, got {x.shape}"
             )
-        mid = depthwise_nd(x, self.depthwise, padding="same")
-        k = self.depthwise.shape[1]
-        cache["xp"] = pad_spatial(x, k // 2, k // 2)
-        cache["mid"] = mid
-        return mid @ self.pointwise + self.b
+        pad = self.depthwise.shape[1] // 2
+        xp = pad_spatial(x, pad, pad)
+        mid = depthwise_nd(xp, self.depthwise, padding="valid")
+        out = mid.reshape(-1, mid.shape[-1]) @ self.pointwise
+        out += self.b
+        cache["xp"], cache["mid"] = xp, mid
+        return out.reshape(*mid.shape[:-1], out.shape[-1])
 
     def backward(self, dout, cache):
         xp, mid = cache["xp"], cache["mid"]
@@ -274,44 +298,39 @@ class MaxPool2d(Layer):
     """2x2 max pooling on the spatial axes of (..., H, W, C).
 
     Odd trailing rows/cols are dropped; ties route the gradient to the
-    first position in row-major window order.
+    first position in row-major window order.  A window whose maximum is
+    NaN passes no gradient.
     """
 
     kind = "max_pool2d"
 
+    @staticmethod
+    def _window_views(x):
+        """The four strided (H//2, W//2) views of x, in row-major window order."""
+        h2, w2 = x.shape[-3] // 2, x.shape[-2] // 2
+        return [x[..., r : 2 * h2 : 2, q : 2 * w2 : 2, :] for r in (0, 1) for q in (0, 1)]
+
     def forward(self, x, cache):
         x = np.asarray(x, dtype=np.float64)
-        h, w, c = x.shape[-3], x.shape[-2], x.shape[-1]
-        h2, w2 = h // 2, w // 2
-        lead = x.shape[:-3]
-        flat = (
-            x[..., : h2 * 2, : w2 * 2, :]
-            .reshape(-1, h2, 2, w2, 2, c)
-            .transpose(0, 1, 3, 2, 4, 5)
-            .reshape(-1, h2, w2, 4, c)
-        )
-        idx = np.argmax(flat, axis=3)
-        cache["idx"] = idx
-        cache["shape"] = x.shape
-        out = np.take_along_axis(flat, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-        return out.reshape(*lead, h2, w2, c)
+        views = self._window_views(x)
+        # np.maximum returns its second operand on a tie (+0.0 vs -0.0), so
+        # the earlier view goes second and the first in window order wins.
+        out = np.maximum(views[1], views[0])
+        for view in views[2:]:
+            np.maximum(view, out, out=out)
+        cache["shape"], cache["views"], cache["out"] = x.shape, views, out
+        return out
 
     def backward(self, dout, cache):
-        shape = cache["shape"]
-        h, w, c = shape[-3], shape[-2], shape[-1]
-        h2, w2 = h // 2, w // 2
-        idx = cache["idx"]
-        dflat = np.zeros((idx.shape[0], h2, w2, 4, c))
-        np.put_along_axis(
-            dflat, idx[:, :, :, None, :], dout.reshape(-1, h2, w2, 1, c), axis=3
-        )
-        dx = np.zeros((idx.shape[0], h, w, c))
-        dx[:, : h2 * 2, : w2 * 2, :] = (
-            dflat.reshape(-1, h2, w2, 2, 2, c)
-            .transpose(0, 1, 3, 2, 4, 5)
-            .reshape(-1, h2 * 2, w2 * 2, c)
-        )
-        return dx.reshape(shape)
+        out = cache["out"]
+        dx = np.zeros(cache["shape"])
+        free = np.ones(out.shape, dtype=bool)  # windows whose max is not yet routed
+        for view, dview in zip(cache["views"], self._window_views(dx)):
+            hit = np.equal(view, out)
+            hit &= free
+            free ^= hit
+            dview[...] = np.where(hit, dout, 0.0)
+        return dx
 
 
 class GlobalAvgPool2d(Layer):
@@ -424,14 +443,6 @@ class ModelGraph:
         if not params:
             return np.zeros(0)
         return np.concatenate([p.ravel() for p in params])
-
-    def set_params_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.params():
-            p[...] = flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != flat.size:
-            raise ShapeError(f"flat vector has {flat.size} elements, model needs {offset}")
 
 
 def count_params(model: ModelGraph | Layer) -> int:

@@ -1,7 +1,9 @@
 """Independent reference implementations used only as test oracles.
 
-Everything here is written as plain nested loops with explicit bounds
-checks, deliberately sharing no code with the package.
+Everything here shares no code with the package.  Most oracles are plain
+nested loops with explicit bounds checks; the ``*_reference`` functions
+at the end are verbatim copies of earlier vectorized forms that the
+package's faster rewrites must reproduce bit for bit.
 """
 
 import math
@@ -136,3 +138,113 @@ def welford(values):
         mean += delta / n
         m2 += delta * (v - mean)
     return mean, math.sqrt(m2 / n)
+
+
+def max_pool2d_loops(x, dout):
+    """2x2 max pool of (..., H, W, C) and its input gradient.
+
+    Each window is scanned in row-major order and only a strictly larger
+    value replaces the current best, so ties route the gradient to the
+    first position; odd trailing rows/cols are dropped and get zero.
+    """
+    h, w, c = x.shape[-3:]
+    h2, w2 = h // 2, w // 2
+    xf = x.reshape(-1, h, w, c)
+    df = np.asarray(dout).reshape(-1, h2, w2, c)
+    out = np.zeros((xf.shape[0], h2, w2, c))
+    dx = np.zeros(xf.shape)
+    for n in range(xf.shape[0]):
+        for i in range(h2):
+            for j in range(w2):
+                for ch in range(c):
+                    bi, bj = 2 * i, 2 * j
+                    for r in range(2):
+                        for q in range(2):
+                            if xf[n, 2 * i + r, 2 * j + q, ch] > xf[n, bi, bj, ch]:
+                                bi, bj = 2 * i + r, 2 * j + q
+                    out[n, i, j, ch] = xf[n, bi, bj, ch]
+                    dx[n, bi, bj, ch] = df[n, i, j, ch]
+    return out.reshape(*x.shape[:-3], h2, w2, c), dx.reshape(x.shape)
+
+
+def beat_pairs_scan(maxima, minima):
+    """(maximum, first later minimum) pairs by rescanning every minimum."""
+    pairs = []
+    for start in maxima:
+        following = [m for m in minima if m > start]
+        if following:
+            pairs.append((start, following[0]))
+    return pairs
+
+
+# Reference copies of the earlier, allocation-heavy forms of the encoder
+# layers.  The package's rewrites must reproduce them bit for bit.
+
+
+def sigmoid_reference(x):
+    e = np.exp(-np.abs(x))
+    return np.where(np.asarray(x) >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def depthwise_nd_reference(x, kernels, padding):
+    kh, kw = kernels.shape[1:]
+    if padding == "same":
+        width = [(0, 0)] * (x.ndim - 3) + [(kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)]
+        padded = np.pad(x, width)
+        out_h, out_w = x.shape[-3], x.shape[-2]
+    else:
+        padded = x
+        out_h, out_w = x.shape[-3] - kh + 1, x.shape[-2] - kw + 1
+    out = None
+    for i in range(kh):
+        for j in range(kw):
+            term = padded[..., i : i + out_h, j : j + out_w, :] * kernels[:, i, j]
+            out = term if out is None else out + term
+    return out
+
+
+def depthwise_separable2d_forward_reference(x, depthwise, pointwise, b, cache):
+    """Forward of a "same"-padded depthwise-separable layer, filling *cache*
+    with the padded input "xp" and the depthwise output "mid"."""
+    k = depthwise.shape[1]
+    mid = depthwise_nd_reference(x, depthwise, "same")
+    width = [(0, 0)] * (x.ndim - 3) + [(k // 2, k // 2), (k // 2, k // 2), (0, 0)]
+    cache["xp"] = np.pad(x, width)
+    cache["mid"] = mid
+    return mid @ pointwise + b
+
+
+def max_pool2d_forward_reference(x, cache):
+    """2x2 max pool by argmax over a transposed copy of the windows."""
+    h, w, c = x.shape[-3], x.shape[-2], x.shape[-1]
+    h2, w2 = h // 2, w // 2
+    lead = x.shape[:-3]
+    flat = (
+        x[..., : h2 * 2, : w2 * 2, :]
+        .reshape(-1, h2, 2, w2, 2, c)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(-1, h2, w2, 4, c)
+    )
+    idx = np.argmax(flat, axis=3)
+    cache["idx"] = idx
+    cache["shape"] = x.shape
+    out = np.take_along_axis(flat, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return out.reshape(*lead, h2, w2, c)
+
+
+def max_pool2d_backward_reference(dout, cache):
+    shape = cache["shape"]
+    h, w, c = shape[-3], shape[-2], shape[-1]
+    h2, w2 = h // 2, w // 2
+    idx = cache["idx"]
+    dflat = np.zeros((idx.shape[0], h2, w2, 4, c))
+    np.put_along_axis(
+        dflat, idx[:, :, :, None, :], dout.reshape(-1, h2, w2, 1, c), axis=3
+    )
+    dx = np.zeros((idx.shape[0], h, w, c))
+    dx[:, : h2 * 2, : w2 * 2, :] = (
+        dflat.reshape(-1, h2, w2, 2, 2, c)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(-1, h2 * 2, w2 * 2, c)
+    )
+    return dx.reshape(shape)

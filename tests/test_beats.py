@@ -15,6 +15,8 @@ from echokit.beats import (
 from echokit.errors import ConfigurationError, ValidationError
 from echokit.synth import EfSceneParams, gen_ef_video
 
+from oracles import beat_pairs_scan
+
 
 def rasterize_disk(n, radius):
     c = (n - 1) / 2.0
@@ -202,3 +204,25 @@ class TestBeatClip:
     def test_rejects_reversed_range(self):
         with pytest.raises(ValidationError):
             BeatClip(start_frame=5, end_frame=5, sub_video=np.zeros((2, 2, 1)))
+
+
+class TestExtractBeatsManyBeats:
+    def test_matches_rescanning_oracle(self):
+        rng = np.random.default_rng(21)
+        frames, kinds = [], []
+        t = 0
+        for n in range(2000):  # alternating, starts with a minimum, ends on a maximum
+            t += int(rng.integers(1, 9))
+            frames.append(t)
+            kinds.append("min" if n % 2 == 0 else "max")
+        extrema = ExtremaList(
+            maxima=[f for f, k in zip(frames, kinds) if k == "max"],
+            minima=[f for f, k in zip(frames, kinds) if k == "min"],
+        )
+        video = rng.uniform(0, 1, (1, 2, t + 1))
+        clips = extract_beats(video, extrema)
+        want = beat_pairs_scan(extrema.maxima, extrema.minima)
+        assert len(want) == len(extrema.maxima) - 1
+        assert [(c.start_frame, c.end_frame) for c in clips] == want
+        for clip, (start, end) in zip(clips, want):
+            np.testing.assert_array_equal(clip.sub_video, video[:, :, start : end + 1])

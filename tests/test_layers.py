@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from echokit import ef, lvd
+from echokit.convops import depthwise_nd
 from echokit.errors import ShapeError
 from echokit.nn import (
     Conv1d,
@@ -15,10 +17,35 @@ from echokit.nn import (
     count_params,
     swish,
     swish_derivative,
+    value_and_grad,
 )
+from echokit.nn import layers
+from echokit.nn.layers import sigmoid
 from echokit.nn.gradcheck import LAYER_KINDS, check_layer, check_layer_kind
 
-from oracles import conv1d_layer_loops, dense_loops
+from oracles import (
+    conv1d_layer_loops,
+    dense_loops,
+    depthwise_nd_reference,
+    depthwise_separable2d_forward_reference,
+    max_pool2d_backward_reference,
+    max_pool2d_forward_reference,
+    max_pool2d_loops,
+    sigmoid_reference,
+)
+
+
+def tie_heavy(rng, shape):
+    """Values from {-1, -0.5, -0.0, 0.0, 0.5, 1}: most 2x2 windows hold ties."""
+    x = rng.integers(-2, 3, shape) * 0.5
+    x[rng.uniform(size=shape) < 0.2] = -0.0
+    return x
+
+
+def assert_bits_equal(got, want):
+    """Equal values and equal signs of zero."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestConv1d:
@@ -146,11 +173,181 @@ class TestPooling2d:
         assert out.shape == (3, 4, 3, 2)
         assert out[1, 0, 0, 1] == x[1, :2, :2, 1].max()
 
+    @pytest.mark.parametrize("shape", [(3, 6, 8, 2), (2, 7, 5, 3), (2, 3, 4, 6, 2), (5, 4, 1)])
+    def test_max_pool_matches_loops_on_ties(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = tie_heavy(rng, shape)
+        h2, w2 = shape[-3] // 2, shape[-2] // 2
+        dout = rng.standard_normal((*shape[:-3], h2, w2, shape[-1]))
+        layer, cache = MaxPool2d(), {}
+        out = layer.forward(x, cache)
+        dx = layer.backward(dout, cache)
+        want_out, want_dx = max_pool2d_loops(x, dout)
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(dx, want_dx)
+        assert np.count_nonzero(dx) == np.count_nonzero(dout)
+
+    def test_max_pool_odd_trailing_row_and_col_get_no_gradient(self):
+        x = np.arange(2 * 5 * 7 * 1, dtype=np.float64).reshape(2, 5, 7, 1)
+        layer, cache = MaxPool2d(), {}
+        assert layer.forward(x, cache).shape == (2, 2, 3, 1)
+        dx = layer.backward(np.ones((2, 2, 3, 1)), cache)
+        assert not dx[:, 4, :, :].any() and not dx[:, :, 6, :].any()
+        assert dx.sum() == 12.0
+
+    def test_max_pool_cache_holds_references_only(self):
+        x = np.random.default_rng(17).standard_normal((2, 6, 6, 3))
+        cache = {}
+        out = MaxPool2d().forward(x, cache)
+        assert cache["out"] is out
+        assert all(view.base is x for view in cache["views"])
+
+    def test_max_pool_nan_window_passes_no_gradient(self):
+        x = np.array([[[1.0], [np.nan], [2.0], [3.0]], [[0.0], [4.0], [5.0], [1.0]]])
+        layer, cache = MaxPool2d(), {}
+        out = layer.forward(x, cache)
+        assert np.isnan(out[0, 0, 0]) and out[0, 1, 0] == 5.0
+        dx = layer.backward(np.array([[[1.0], [1.0]]]), cache)
+        np.testing.assert_array_equal(dx[..., 0], [[0, 0, 0, 0], [0, 0, 1, 0]])
+
+    def test_max_pool_signed_zero_tie_keeps_first(self):
+        x = np.array([[[-0.0], [0.0]], [[0.0], [-0.0]]])
+        assert np.signbit(MaxPool2d().forward(x, {})).all()
+        assert not np.signbit(MaxPool2d().forward(-x, {})).any()
+
     def test_global_avg_pool(self):
         x = np.random.default_rng(7).standard_normal((4, 4, 3))
         np.testing.assert_allclose(
             GlobalAvgPool2d().forward(x, {}), x.mean(axis=(0, 1))
         )
+
+
+class TestReferenceBitIdentity:
+    """The rewritten layers reproduce the earlier implementations bit for bit."""
+
+    def test_sigmoid(self):
+        x = np.concatenate([
+            np.linspace(-800.0, 800.0, 3201),
+            [-0.0, 0.0, 5e-324, -5e-324, 37.5, -37.5, -709.5, -745.2, -746.0],
+        ])
+        with np.errstate(under="ignore"):
+            want = sigmoid_reference(x)
+        assert_bits_equal(sigmoid(x), want)
+        assert sigmoid(0.0) == 0.5 and np.ndim(sigmoid(0.0)) == 0
+
+    def test_extremes_raise_nothing(self):
+        x = np.array([-800.0, 800.0])
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(sigmoid(x), [0.0, 1.0])
+            np.testing.assert_array_equal(swish(x), [-0.0, 800.0])
+            np.testing.assert_array_equal(swish_derivative(x), [0.0, 1.0])
+            assert sigmoid(-800.0) == 0.0
+
+    def test_swish_forward_and_backward(self):
+        rng = np.random.default_rng(13)
+        x = np.concatenate([rng.standard_normal((3, 4, 4, 2)).ravel() * 6, [0.0, -0.0]])
+        dout = rng.standard_normal(x.shape)
+        layer, cache = Swish(), {}
+        s = sigmoid_reference(x)
+        assert_bits_equal(layer.forward(x, cache), x * s)
+        assert_bits_equal(layer.backward(dout, cache), dout * (s + x * s * (1.0 - s)))
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_depthwise_nd(self, padding):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 3, 9, 7, 4))
+        kernels = rng.standard_normal((4, 3, 5))
+        assert_bits_equal(
+            depthwise_nd(x, kernels, padding), depthwise_nd_reference(x, kernels, padding)
+        )
+
+    @pytest.mark.parametrize("shape", [(5, 16, 16, 1), (3, 8, 8, 6), (9, 7, 3)])
+    def test_depthwise_separable_forward_and_backward(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x = rng.standard_normal(shape)
+        layer = DepthwiseSeparable2d(shape[-1], 5, 3, rng=rng)
+        layer.b[...] = rng.standard_normal(5)
+        dout = rng.standard_normal((*shape[:-1], 5))
+        cache, ref_cache = {}, {}
+        got = layer.forward(x, cache)
+        want = depthwise_separable2d_forward_reference(
+            x, layer.depthwise, layer.pointwise, layer.b, ref_cache
+        )
+        assert_bits_equal(got, want)
+        for key in ("xp", "mid"):
+            assert_bits_equal(cache[key], ref_cache[key])
+        dx = layer.backward(dout, cache)
+        grads = [g.copy() for g in layer.grads()]
+        layer.zero_grads()
+        assert_bits_equal(dx, layer.backward(dout, ref_cache))
+        for g, g_ref in zip(grads, layer.grads()):
+            assert_bits_equal(g, g_ref)
+
+    @pytest.mark.parametrize("shape", [(4, 8, 6, 3), (2, 3, 5, 7, 2), (6, 6, 1)])
+    def test_max_pool_forward_and_backward(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        x = tie_heavy(rng, shape)
+        layer, cache, ref_cache = MaxPool2d(), {}, {}
+        out = layer.forward(x, cache)
+        assert_bits_equal(out, max_pool2d_forward_reference(x, ref_cache))
+        dout = rng.standard_normal(out.shape)
+        assert_bits_equal(
+            layer.backward(dout, cache), max_pool2d_backward_reference(dout, ref_cache)
+        )
+
+    @staticmethod
+    def _use_reference_layers(monkeypatch):
+        monkeypatch.setattr(layers, "sigmoid", sigmoid_reference)
+        monkeypatch.setattr(
+            DepthwiseSeparable2d, "forward",
+            lambda self, x, cache: depthwise_separable2d_forward_reference(
+                x, self.depthwise, self.pointwise, self.b, cache
+            ),
+        )
+        monkeypatch.setattr(
+            MaxPool2d, "forward", lambda self, x, cache: max_pool2d_forward_reference(x, cache)
+        )
+        monkeypatch.setattr(
+            MaxPool2d, "backward",
+            lambda self, dout, cache: max_pool2d_backward_reference(dout, cache),
+        )
+
+    def _check_model(self, monkeypatch, graph, batch, loss):
+        preds = [graph.forward(x) for x, _ in batch]
+        value, grads = value_and_grad(graph, batch, loss)
+        grads = [g.copy() for g in grads]
+        self._use_reference_layers(monkeypatch)
+        for (x, _), pred in zip(batch, preds):
+            assert_bits_equal(pred, graph.forward(x))
+        ref_value, ref_grads = value_and_grad(graph, batch, loss)
+        assert value == ref_value
+        assert len(grads) == len(ref_grads)
+        for g, g_ref in zip(grads, ref_grads):
+            assert_bits_equal(g, g_ref)
+
+    def test_ef_value_and_grad(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        model = ef.EfModel.build(ef.EfModelConfig(frame_shape=(16, 16), encoder_dim=16, seed=4))
+        for layer in model.graph.layers[0].stack:
+            if isinstance(layer, DepthwiseSeparable2d):
+                layer.b[...] = rng.uniform(-0.1, 0.1, layer.b.shape)
+        clips = [rng.uniform(0, 1, (16, 16, 7)), tie_heavy(rng, (16, 16, 5)), np.zeros((16, 16, 4))]
+        batch = [(model.prepare_input(c), np.array([0.4 + 0.1 * k])) for k, c in enumerate(clips)]
+        self._check_model(monkeypatch, model.graph, batch, "mae")
+
+    def test_lvd_value_and_grad(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        model = lvd.LvdModel.build(
+            lvd.LvdModelConfig(frame_shape=(16, 16), channels=(4, 8, 8), hidden=16, seed=5)
+        )
+        frames = [rng.uniform(0, 1, (16, 16)), tie_heavy(rng, (16, 16)), np.zeros((16, 16))]
+        objective = lvd.LvdObjective(lvd.LossWeights(0.5, 0.2, 0.4), model.coord_scale())
+        batch = []
+        for frame in frames:
+            points = rng.uniform(2, 13, (4, 2))
+            lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
+            batch.append((model.prepare_input(frame), (points, 1.0, lengths)))
+        self._check_model(monkeypatch, model.graph, batch, objective)
 
 
 class TestFrameEncoder:
