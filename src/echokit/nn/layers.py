@@ -9,13 +9,15 @@ into the layer's gradient buffers and returns the input gradient.
 A model instance is exclusively owned while forward/backward runs (the
 gradient buffers are mutable); distinct instances are independent.
 
-Training and inference share one forward pass, so the forward passes of
-the encoder layers allocate only their outputs and a fixed number of
-whole-array buffers: no temporary per kernel tap, per pooling-window
-position or per ``np.where`` branch.  Caches hold references to arrays
-the forward pass made anyway, never extra copies: ``MaxPool2d`` keeps
-its four strided window views of the input and its output, and its
-backward recovers first-in-window argmax routing from them.
+Training and inference share one forward pass, so the forward and
+backward passes of the encoder layers allocate only their results and a
+fixed number of whole-array buffers: no temporary per kernel tap, per
+pooling-window position, per ``np.where`` branch or per sub-expression.
+Caches hold references to arrays the forward pass made anyway, never
+extra copies: ``MaxPool2d`` keeps its four strided window views of the
+input and its output, and its backward recovers first-in-window argmax
+routing from them; ``Swish`` keeps its sigmoid and its output, not its
+input.
 """
 
 from __future__ import annotations
@@ -188,12 +190,19 @@ class Swish(Layer):
     def forward(self, x, cache):
         x = np.asarray(x, dtype=np.float64)
         s = sigmoid(x)
-        cache["x"], cache["s"] = x, s
-        return x * s
+        out = x * s
+        cache["s"], cache["out"] = s, out
+        return out
 
     def backward(self, dout, cache):
-        x, s = cache["x"], cache["s"]
-        return dout * (s + x * s * (1.0 - s))
+        """dout * (s + x*s*(1 - s)) in one buffer, with x*s read from the
+        cached output; IEEE products and sums commute, so the bits match."""
+        s = cache["s"]
+        d = np.subtract(1.0, s)
+        d *= cache["out"]
+        d += s
+        d *= dout
+        return d
 
 
 def swish(x):
@@ -276,20 +285,36 @@ class DepthwiseSeparable2d(Layer):
         return out.reshape(*mid.shape[:-1], out.shape[-1])
 
     def backward(self, dout, cache):
+        """Input gradient; accumulates the three parameter gradients.
+
+        Each tap's depthwise-weight gradient is the per-channel dot
+        product that ``np.einsum("...c,...c->c", window, dmid,
+        optimize=True)`` computed, through the ``matmul`` lowering that
+        numpy 2.4's ``bmm_einsum`` uses: the rows of ``dmid`` as a
+        strided (C, 1, N) view times the window copied channel-first to
+        a contiguous (C, N, 1) array.  BLAS then sees the same vectors
+        with the same strides, so the sums are bit-identical to that
+        einsum's, without re-planning the contraction on every call.
+        """
         xp, mid = cache["xp"], cache["mid"]
         h, w, c_in = mid.shape[-3], mid.shape[-2], mid.shape[-1]
         self.db += dout.reshape(-1, dout.shape[-1]).sum(axis=0)
         self.d_pointwise += mid.reshape(-1, c_in).T @ dout.reshape(-1, dout.shape[-1])
         dmid = dout @ self.pointwise.T
         k = self.depthwise.shape[1]
+        x_first = np.ascontiguousarray(np.moveaxis(xp, -1, 0))
+        dmid_rows = np.moveaxis(dmid, -1, 0).reshape(c_in, 1, -1)
+        window = np.empty((c_in, *mid.shape[:-1]))
+        window_cols = window.reshape(c_in, -1, 1)
+        dot = np.empty((c_in, 1, 1))
+        weight_rows = np.repeat(self.depthwise.transpose(1, 2, 0)[:, :, None, :], w, axis=2)
         dxp = np.zeros_like(xp)
+        term = np.empty_like(dmid)
         for i in range(k):
             for j in range(k):
-                window = xp[..., i : i + h, j : j + w, :]
-                self.d_depthwise[:, i, j] += np.einsum(
-                    "...c,...c->c", window, dmid, optimize=True
-                )
-                dxp[..., i : i + h, j : j + w, :] += dmid * self.depthwise[:, i, j]
+                np.copyto(window, x_first[..., i : i + h, j : j + w])
+                self.d_depthwise[:, i, j] += np.matmul(dmid_rows, window_cols, out=dot)[:, 0, 0]
+                dxp[..., i : i + h, j : j + w, :] += np.multiply(dmid, weight_rows[i, j], out=term)
         pad = k // 2
         return dxp[..., pad : pad + h, pad : pad + w, :]
 
@@ -323,13 +348,18 @@ class MaxPool2d(Layer):
 
     def backward(self, dout, cache):
         out = cache["out"]
+        dout_bits = np.asarray(dout, dtype=np.float64).view(np.int64)
         dx = np.zeros(cache["shape"])
         free = np.ones(out.shape, dtype=bool)  # windows whose max is not yet routed
+        hit = np.empty(out.shape, dtype=bool)
+        mask = np.empty(out.shape, dtype=np.int64)
         for view, dview in zip(cache["views"], self._window_views(dx)):
-            hit = np.equal(view, out)
+            np.equal(view, out, out=hit)
             hit &= free
             free ^= hit
-            dview[...] = np.where(hit, dout, 0.0)
+            # dout's exact bits (-0.0 and NaN included) where hit, +0.0 elsewhere.
+            np.negative(hit, out=mask, dtype=np.int64)
+            np.bitwise_and(dout_bits, mask, out=dview.view(np.int64))
         return dx
 
 

@@ -7,6 +7,8 @@ little-endian payload.  Round-trips are bit-exact for both dtypes.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from typing import BinaryIO
 
@@ -16,6 +18,7 @@ MAGIC = b"CTR1"
 
 _DTYPE_CODES = {np.dtype("<f4"): 1, np.dtype("<f8"): 2}
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class TensorFormatError(IOError):
@@ -27,7 +30,7 @@ def write_tensor_stream(stream: BinaryIO, array: np.ndarray) -> None:
     array = np.asarray(array)
     dtype = np.dtype("<f4") if array.dtype == np.float32 else np.dtype("<f8")
     code = _DTYPE_CODES[dtype]
-    data = np.ascontiguousarray(array, dtype=dtype)
+    data = np.asarray(array, dtype=dtype, order="C")  # ascontiguousarray would make rank 0 rank 1
     if data.ndim > 255:
         raise TensorFormatError(f"rank {data.ndim} exceeds the 1-byte rank field")
     stream.write(MAGIC)
@@ -52,14 +55,32 @@ def read_tensor_stream(stream: BinaryIO) -> np.ndarray:
         raise TensorFormatError("truncated dims")
     shape = struct.unpack(f"<{rank}I", dim_bytes)
     dtype = _CODE_DTYPES[code]
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    payload = stream.read(count * dtype.itemsize)
-    if len(payload) != count * dtype.itemsize:
+    # numpy needs the nonzero dims to fit in int64 bytes even when another dim is 0.
+    extent = math.prod(d for d in shape if d) * dtype.itemsize
+    if extent > _INT64_MAX:
+        raise TensorFormatError(f"dims {shape} span {extent} bytes, more than int64 can index")
+    nbytes = extent if all(shape) else 0
+    remaining = _remaining_bytes(stream)
+    if remaining is not None and nbytes > remaining:
         raise TensorFormatError(
-            f"truncated payload: expected {count * dtype.itemsize} bytes, "
-            f"got {len(payload)}"
+            f"truncated payload: expected {nbytes} bytes, {remaining} remain"
+        )
+    payload = stream.read(nbytes)
+    if len(payload) != nbytes:
+        raise TensorFormatError(
+            f"truncated payload: expected {nbytes} bytes, got {len(payload)}"
         )
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+
+
+def _remaining_bytes(stream: BinaryIO) -> int | None:
+    """Bytes left after the current position, or None if it cannot seek."""
+    if not stream.seekable():
+        return None
+    position = stream.tell()
+    end = stream.seek(0, io.SEEK_END)
+    stream.seek(position)
+    return end - position
 
 
 def write_tensor(path, array: np.ndarray, single_precision: bool = False) -> None:

@@ -248,3 +248,36 @@ def max_pool2d_backward_reference(dout, cache):
         .reshape(-1, h2 * 2, w2 * 2, c)
     )
     return dx.reshape(shape)
+
+
+def depthwise_separable2d_backward_reference(self, dout, cache):
+    """``DepthwiseSeparable2d.backward`` with one einsum per tap; *self* is
+    the layer, whose gradient buffers it accumulates into."""
+    xp, mid = cache["xp"], cache["mid"]
+    h, w, c_in = mid.shape[-3], mid.shape[-2], mid.shape[-1]
+    self.db += dout.reshape(-1, dout.shape[-1]).sum(axis=0)
+    self.d_pointwise += mid.reshape(-1, c_in).T @ dout.reshape(-1, dout.shape[-1])
+    dmid = dout @ self.pointwise.T
+    k = self.depthwise.shape[1]
+    dxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            window = xp[..., i : i + h, j : j + w, :]
+            self.d_depthwise[:, i, j] += np.einsum(
+                "...c,...c->c", window, dmid, optimize=True
+            )
+            dxp[..., i : i + h, j : j + w, :] += dmid * self.depthwise[:, i, j]
+    pad = k // 2
+    return dxp[..., pad : pad + h, pad : pad + w, :]
+
+
+def swish_forward_reference(x, cache):
+    """Swish forward that caches its input "x" and sigmoid "s"."""
+    x = np.asarray(x, dtype=np.float64)
+    s = sigmoid_reference(x)
+    cache["x"], cache["s"] = x, s
+    return x * s
+
+
+def swish_backward_reference(dout, x, s):
+    return dout * (s + x * s * (1.0 - s))

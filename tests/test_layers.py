@@ -27,11 +27,14 @@ from oracles import (
     conv1d_layer_loops,
     dense_loops,
     depthwise_nd_reference,
+    depthwise_separable2d_backward_reference,
     depthwise_separable2d_forward_reference,
     max_pool2d_backward_reference,
     max_pool2d_forward_reference,
     max_pool2d_loops,
     sigmoid_reference,
+    swish_backward_reference,
+    swish_forward_reference,
 )
 
 
@@ -210,6 +213,18 @@ class TestPooling2d:
         dx = layer.backward(np.array([[[1.0], [1.0]]]), cache)
         np.testing.assert_array_equal(dx[..., 0], [[0, 0, 0, 0], [0, 0, 1, 0]])
 
+    def test_max_pool_backward_copies_gradient_bits(self):
+        x = np.array([[[1.0], [0.0], [2.0], [3.0]], [[0.0], [0.0], [5.0], [1.0]]])
+        nan = np.frombuffer(np.uint64(0x7FF8_0000_0000_0123).tobytes())[0]
+        layer, cache = MaxPool2d(), {}
+        layer.forward(x, cache)
+        dx = layer.backward(np.array([[[-0.0], [nan]]]), cache)
+        routed = np.zeros(x.shape, dtype=bool)
+        routed[0, 0, 0] = routed[1, 2, 0] = True
+        assert np.signbit(dx[0, 0, 0]) and dx[0, 0, 0] == 0.0
+        assert dx[1, 2].tobytes() == nan.tobytes()
+        assert not np.signbit(dx[~routed]).any() and not dx[~routed].any()
+
     def test_max_pool_signed_zero_tie_keeps_first(self):
         x = np.array([[[-0.0], [0.0]], [[0.0], [-0.0]]])
         assert np.signbit(MaxPool2d().forward(x, {})).all()
@@ -247,10 +262,14 @@ class TestReferenceBitIdentity:
         rng = np.random.default_rng(13)
         x = np.concatenate([rng.standard_normal((3, 4, 4, 2)).ravel() * 6, [0.0, -0.0]])
         dout = rng.standard_normal(x.shape)
-        layer, cache = Swish(), {}
-        s = sigmoid_reference(x)
-        assert_bits_equal(layer.forward(x, cache), x * s)
-        assert_bits_equal(layer.backward(dout, cache), dout * (s + x * s * (1.0 - s)))
+        layer, cache, ref_cache = Swish(), {}, {}
+        out = layer.forward(x, cache)
+        assert_bits_equal(out, swish_forward_reference(x, ref_cache))
+        assert cache["out"] is out
+        assert_bits_equal(
+            layer.backward(dout, cache),
+            swish_backward_reference(dout, ref_cache["x"], ref_cache["s"]),
+        )
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_depthwise_nd(self, padding):
@@ -279,7 +298,7 @@ class TestReferenceBitIdentity:
         dx = layer.backward(dout, cache)
         grads = [g.copy() for g in layer.grads()]
         layer.zero_grads()
-        assert_bits_equal(dx, layer.backward(dout, ref_cache))
+        assert_bits_equal(dx, depthwise_separable2d_backward_reference(layer, dout, ref_cache))
         for g, g_ref in zip(grads, layer.grads()):
             assert_bits_equal(g, g_ref)
 
@@ -303,6 +322,16 @@ class TestReferenceBitIdentity:
             lambda self, x, cache: depthwise_separable2d_forward_reference(
                 x, self.depthwise, self.pointwise, self.b, cache
             ),
+        )
+        monkeypatch.setattr(
+            DepthwiseSeparable2d, "backward", depthwise_separable2d_backward_reference
+        )
+        monkeypatch.setattr(
+            Swish, "forward", lambda self, x, cache: swish_forward_reference(x, cache)
+        )
+        monkeypatch.setattr(
+            Swish, "backward",
+            lambda self, dout, cache: swish_backward_reference(dout, cache["x"], cache["s"]),
         )
         monkeypatch.setattr(
             MaxPool2d, "forward", lambda self, x, cache: max_pool2d_forward_reference(x, cache)
