@@ -2,9 +2,11 @@
 
 Subcommands: oracle-check, gradcheck, bench, extract-beats, synth,
 train-ef, eval-ef, train-lvd, eval-lvd.  Every subcommand assembles a
-Report; the human summary goes to stdout, the machine report to ``--out``,
-and the exit code is 0 only if every verdict passed.  Runs are
-deterministic for fixed flags and seed (timing fields aside).
+Report, and main() times it; the human summary goes to stdout, the
+machine report to ``--out``.  The exit code is 0 only if every verdict
+passed; a run stopped by an echokit error still writes a failed report
+naming the error, and exits 2.  Runs are deterministic for fixed flags
+and seed (timing fields aside).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import numpy as np
 
 from . import beats, checkpoint, convops, datasets, ef, lvd, synth, tensorio
 from .nn import TrainConfig
-from .nn.gradcheck import LAYER_KINDS, check_layer_kind, check_model_subset
+from .errors import EchokitError
+from .nn.gradcheck import DEFAULT_EPSILON, LAYER_KINDS, check_layer_kind, check_model_subset
 from .report import Report
 
 ORACLE_TOLERANCE = 1e-10
@@ -77,21 +80,19 @@ def run_oracle_trials(trials: int, max_dim: int, max_kernel: int, seed: int):
 
 
 def cmd_oracle_check(args) -> Report:
-    started = time.perf_counter()
     worst, control = run_oracle_trials(args.trials, args.max_dim, args.max_kernel, args.seed)
     return Report(
         subcommand="oracle-check",
         config={
             "trials": args.trials, "max_dim": args.max_dim,
             "max_kernel": args.max_kernel, "seed": args.seed,
-            "threads": args.threads, "tolerance": ORACLE_TOLERANCE,
+            "tolerance": ORACLE_TOLERANCE,
         },
         metrics={"max_rel_err": worst, "control_rel_err": control},
         verdicts={
             "factorization_equivalence": worst <= ORACLE_TOLERANCE,
             "control_detects_mismatch": control > 1e-6,
         },
-        wall_clock_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
@@ -138,7 +139,6 @@ def run_bench(video_dims, kernel_dims, repeats: int, padding: str, seed: int) ->
 
 
 def cmd_bench(args) -> Report:
-    started = time.perf_counter()
     video_dims = tuple(args.video_dims)
     kernel_dims = tuple(args.kernel_dims)
     m = run_bench(video_dims, kernel_dims, args.repeats, args.padding, args.seed)
@@ -148,14 +148,13 @@ def cmd_bench(args) -> Report:
         config={
             "video_dims": list(video_dims), "kernel_dims": list(kernel_dims),
             "repeats": args.repeats, "padding": args.padding,
-            "seed": args.seed, "threads": args.threads,
+            "seed": args.seed,
         },
         metrics=m,
         verdicts={
             "count_full_matches_model": m["count_full"] == m["flop_model_full"],
             "count_factored_matches_model": m["count_factored"] == m["flop_model_factored"],
         },
-        wall_clock_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
@@ -195,7 +194,6 @@ def run_gradcheck(seed: int, instances_per_layer: int = 20) -> dict:
 
 
 def cmd_gradcheck(args) -> Report:
-    started = time.perf_counter()
     metrics = run_gradcheck(args.seed, args.instances)
     verdicts = {
         name.replace("rel_err_", "grad_"): value <= GRAD_TOLERANCE
@@ -205,16 +203,14 @@ def cmd_gradcheck(args) -> Report:
         subcommand="gradcheck",
         config={
             "seed": args.seed, "instances": args.instances,
-            "tolerance": GRAD_TOLERANCE, "epsilon": 1e-5, "threads": args.threads,
+            "tolerance": GRAD_TOLERANCE, "epsilon": DEFAULT_EPSILON,
         },
         metrics=metrics,
         verdicts=verdicts,
-        wall_clock_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
 def cmd_extract_beats(args) -> Report:
-    started = time.perf_counter()
     video = tensorio.read_tensor(_existing(args.video))
     masks = tensorio.read_tensor(_existing(args.masks))
     if video.shape != masks.shape:
@@ -252,7 +248,6 @@ def cmd_extract_beats(args) -> Report:
             "min_separation": args.min_separation,
             "min_prominence": args.min_prominence,
             "smooth_window": args.smooth_window, "seed": args.seed,
-            "threads": args.threads,
         },
         metrics={
             "n_clips": len(clips),
@@ -260,12 +255,10 @@ def cmd_extract_beats(args) -> Report:
             "n_minima": len(extrema.minima),
         },
         verdicts={"completed": True},
-        wall_clock_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
 def cmd_synth(args) -> Report:
-    started = time.perf_counter()
     if args.frame_size is None:
         args.frame_size = 16 if args.kind == "ef" else 64
     if args.kind == "ef":
@@ -290,11 +283,10 @@ def cmd_synth(args) -> Report:
         subcommand="synth",
         config={
             "kind": args.kind, "out_dir": str(args.out_dir), "seed": args.seed,
-            "frame_size": args.frame_size, "threads": args.threads,
+            "frame_size": args.frame_size,
         },
         metrics=metrics,
         verdicts={"completed": True},
-        wall_clock_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
@@ -310,7 +302,6 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train_ef(args) -> Report:
-    started = time.perf_counter()
     samples = ef.load_ef_dataset(_existing(args.data))
     frame_shape = samples[0].clip.sub_video.shape[:2]
     model = ef.EfModel.build(
@@ -323,9 +314,8 @@ def cmd_train_ef(args) -> Report:
     )
     config = _train_config(args)
     model, result = ef.train_ef(model, samples, config)
-    _, val = ef.split_dataset(samples, seed=config.seed)
-    val = val or samples
-    baseline = ef.baseline_mae(val, constant=_train_mean(samples, config.seed))
+    train, val = ef.split_dataset(samples, seed=config.seed)
+    baseline = ef.baseline_mae(val or samples, constant=float(np.mean(ef.video_truths(train))))
     if args.out_dir:
         checkpoint.save_checkpoint(
             args.out_dir, "ef", model.config, model.graph,
@@ -342,7 +332,7 @@ def cmd_train_ef(args) -> Report:
             "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
             "seed": args.seed, "padding": args.padding,
             "encoder_dim": args.encoder_dim, "optimizer": args.optimizer,
-            "loss": args.loss, "threads": args.threads,
+            "loss": args.loss,
         },
         metrics={
             "n_samples": len(samples),
@@ -353,21 +343,10 @@ def cmd_train_ef(args) -> Report:
             "history": [s.as_dict() for s in result.history],
         },
         verdicts={"completed": True},
-        wall_clock_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
-def _train_mean(samples, seed: int) -> float:
-    train, _ = ef.split_dataset(samples, seed=seed)
-    train = train or samples
-    truths = {}
-    for i, s in enumerate(train):
-        truths.setdefault(s.video_id if s.video_id is not None else i, s.ef_true)
-    return float(np.mean(list(truths.values())))
-
-
 def cmd_eval_ef(args) -> Report:
-    started = time.perf_counter()
     model, _ = checkpoint.load_ef_model(_existing(args.model))
     samples = ef.load_ef_dataset(_existing(args.data))
     mae = ef.evaluate_mae(model, samples)
@@ -376,16 +355,14 @@ def cmd_eval_ef(args) -> Report:
         subcommand="eval-ef",
         config={
             "data": str(args.data), "model": str(args.model),
-            "seed": args.seed, "threads": args.threads,
+            "seed": args.seed,
         },
         metrics={"mae": mae, "baseline_mae": baseline, "n_samples": len(samples)},
         verdicts={"completed": True},
-        wall_clock_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
 def cmd_train_lvd(args) -> Report:
-    started = time.perf_counter()
     samples = lvd.load_lvd_dataset(_existing(args.data))
     frame_shape = samples[0].frame.shape
     model = lvd.LvdModel.build(
@@ -414,7 +391,7 @@ def cmd_train_lvd(args) -> Report:
             "data": str(args.data), "out_dir": str(args.out_dir or ""),
             "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
             "seed": args.seed, "coord_coef": args.coord_coef,
-            "optimizer": args.optimizer, "threads": args.threads,
+            "optimizer": args.optimizer,
         },
         metrics={
             "n_samples": len(samples),
@@ -426,12 +403,10 @@ def cmd_train_lvd(args) -> Report:
             "history": [s.as_dict() for s in result.history],
         },
         verdicts={"completed": True},
-        wall_clock_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
 def cmd_eval_lvd(args) -> Report:
-    started = time.perf_counter()
     model, manifest = checkpoint.load_lvd_model(_existing(args.model))
     samples = lvd.load_lvd_dataset(_existing(args.data))
     evaluation = lvd.evaluate_lvd(model, samples)
@@ -443,11 +418,10 @@ def cmd_eval_lvd(args) -> Report:
         subcommand="eval-lvd",
         config={
             "data": str(args.data), "model": str(args.model),
-            "seed": args.seed, "threads": args.threads,
+            "seed": args.seed,
         },
         metrics=metrics,
         verdicts={"completed": True},
-        wall_clock_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
@@ -468,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--threads", type=int, default=1,
-                       help="recorded in the report; execution is serial")
         p.add_argument("--out", type=Path, default=None,
                        help="write the machine-readable report JSON here")
 
@@ -555,17 +527,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; exit 0 if every verdict passed, 1 if one failed,
+    and 2 if the run stopped on an echokit error (its report says which)."""
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        raise SystemExit("--threads must be >= 1")
-    report = args.fn(args)
+    started = time.perf_counter()
+    try:
+        report = args.fn(args)
+        code = 0 if report.passed else 1
+    except EchokitError as exc:
+        report = Report(
+            subcommand=args.subcommand,
+            config={"argv": list(sys.argv[1:] if argv is None else argv)},
+            metrics={"error": type(exc).__name__, "message": str(exc)},
+            verdicts={"completed": False},
+        )
+        code = 2
+    report.wall_clock_ms = (time.perf_counter() - started) * 1e3
     for line in report.summary_lines():
         print(line)
     if args.out is not None:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(report.to_json())
         print(f"report written to {args.out}")
-    return 0 if report.passed else 1
+    return code
 
 
 if __name__ == "__main__":

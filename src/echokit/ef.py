@@ -14,7 +14,7 @@ averaged per video before the absolute error.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +32,10 @@ from .nn import (
     ModelGraph,
     Swish,
     TrainConfig,
-    iterate_batches,
-    make_optimizer,
-    value_and_grad,
+    TrainResult,
+    fit,
+    split,
+    value_and_grad,  # noqa: F401 -- kept as ef.value_and_grad, which perfbench's tests patch
 )
 
 EF_LABEL_HEADER = ["clip_path", "ef_percent"]
@@ -195,11 +196,16 @@ def evaluate_mae(model: EfModel, samples) -> float:
     return float(np.mean(errors))
 
 
+def video_truths(samples) -> list[float]:
+    """One true EF per video (its first beat's), in first-seen order."""
+    return [group[0].ef_true for group in _group_by_video(samples).values()]
+
+
 def baseline_mae(samples, constant: float | None = None) -> float:
     """MAE of a constant predictor (defaults to the samples' mean EF)."""
     if not samples:
         raise ShapeError("empty dataset")
-    truths = [group[0].ef_true for group in _group_by_video(samples).values()]
+    truths = video_truths(samples)
     if constant is None:
         constant = float(np.mean(truths))
     return float(np.mean([abs(constant - t) for t in truths]))
@@ -207,29 +213,7 @@ def baseline_mae(samples, constant: float | None = None) -> float:
 
 def split_dataset(samples, seed: int, train_fraction: float = 0.8):
     """Deterministic shuffled split, grouped so one video never straddles it."""
-    groups = list(_group_by_video(samples).values())
-    order = np.random.default_rng(seed).permutation(len(groups))
-    n_train = int(round(train_fraction * len(groups)))
-    train = [s for gi in order[:n_train] for s in groups[gi]]
-    val = [s for gi in order[n_train:] for s in groups[gi]]
-    return train, val
-
-
-@dataclass
-class EpochStats:
-    epoch: int
-    train_mae: float
-    val_mae: float
-
-    def as_dict(self):
-        return {"epoch": self.epoch, "train_mae": self.train_mae, "val_mae": self.val_mae}
-
-
-@dataclass
-class TrainResult:
-    history: list[EpochStats] = field(default_factory=list)
-    best_epoch: int = -1
-    best_val_mae: float = float("nan")
+    return split(list(_group_by_video(samples).values()), seed, train_fraction)
 
 
 def train_ef(model: EfModel, samples, config: TrainConfig) -> tuple[EfModel, TrainResult]:
@@ -238,38 +222,13 @@ def train_ef(model: EfModel, samples, config: TrainConfig) -> tuple[EfModel, Tra
     History holds one train/val MAE pair per epoch.  With epochs=0 the
     model is returned unchanged and the history is empty.
     """
-    if not samples:
-        raise ShapeError("empty dataset")
     train, val = split_dataset(samples, seed=config.seed)
-    if not val:  # tiny datasets: validate on the training split
-        val = train
     pairs = [
         (model.prepare_input(s.clip), np.array([s.ef_true / OUTPUT_SCALE]))
         for s in train
     ]
-
-    rng = np.random.default_rng(config.seed + 1)
-    step = make_optimizer(config, model.graph.params())
-    result = TrainResult()
-    best_params = None
-    for epoch in range(config.epochs):
-        for batch_idx in iterate_batches(len(train), config.batch_size, rng):
-            batch = [pairs[i] for i in batch_idx]
-            _, grads = value_and_grad(model.graph, batch, config.loss)
-            step(grads)
-        stats = EpochStats(
-            epoch=epoch,
-            train_mae=evaluate_mae(model, train),
-            val_mae=evaluate_mae(model, val),
-        )
-        result.history.append(stats)
-        if best_params is None or stats.val_mae < result.best_val_mae:
-            result.best_epoch = epoch
-            result.best_val_mae = stats.val_mae
-            best_params = [p.copy() for p in model.graph.params()]
-    if best_params is not None:
-        for p, best in zip(model.graph.params(), best_params):
-            p[...] = best
+    result = fit(model.graph, pairs, config.loss,
+                 lambda part: evaluate_mae(model, part), train, val, config)
     return model, result
 
 

@@ -33,9 +33,9 @@ from .nn import (
     ModelGraph,
     Swish,
     TrainConfig,
-    iterate_batches,
-    make_optimizer,
-    value_and_grad,
+    TrainResult,
+    fit,
+    split,
 )
 
 LVD_LABEL_HEADER = [
@@ -361,44 +361,19 @@ def constant_baseline_mae(samples, dims: LvDimensions | None = None) -> LvdEvalu
     )
 
 
-@dataclass
-class LvdEpochStats:
-    epoch: int
-    train_mae: float
-    val_mae: float
-
-    def as_dict(self):
-        return {"epoch": self.epoch, "train_mae": self.train_mae, "val_mae": self.val_mae}
-
-
-@dataclass
-class LvdTrainResult:
-    history: list[LvdEpochStats] = field(default_factory=list)
-    best_epoch: int = -1
-    best_val_mae: float = float("nan")
-    weights: LossWeights | None = None
-
-
 def split_samples(samples, seed: int, train_fraction: float = 0.8):
-    order = np.random.default_rng(seed).permutation(len(samples))
-    n_train = int(round(train_fraction * len(samples)))
-    train = [samples[i] for i in order[:n_train]]
-    val = [samples[i] for i in order[n_train:]]
-    return train, val
+    """Deterministic shuffled split of single frames."""
+    return split([[s] for s in samples], seed, train_fraction)
 
 
 def train_lvd(model: LvdModel, samples, config: TrainConfig,
-              coord_coef: float = 1.0) -> tuple[LvdModel, LvdTrainResult]:
+              coord_coef: float = 1.0) -> tuple[LvdModel, TrainResult]:
     """Train on an 80/20 seeded split with weights from the training split.
 
     History holds the per-epoch train/val mean dimension MAE; the weights
     used by the loss are returned for reporting.
     """
-    if not samples:
-        raise ShapeError("empty dataset")
     train, val = split_samples(samples, seed=config.seed)
-    if not val:
-        val = train
     weights = loss_weights([s.dimensions() for s in train])
     objective = LvdObjective(weights, model.coord_scale(), coord_coef)
     pairs = [
@@ -408,29 +383,9 @@ def train_lvd(model: LvdModel, samples, config: TrainConfig,
         )
         for s in train
     ]
-
-    rng = np.random.default_rng(config.seed + 1)
-    step = make_optimizer(config, model.graph.params())
-    result = LvdTrainResult(weights=weights)
-    best_params = None
-    for epoch in range(config.epochs):
-        for batch_idx in iterate_batches(len(train), config.batch_size, rng):
-            batch = [pairs[i] for i in batch_idx]
-            _, grads = value_and_grad(model.graph, batch, objective)
-            step(grads)
-        stats = LvdEpochStats(
-            epoch=epoch,
-            train_mae=evaluate_lvd(model, train).mean_mae,
-            val_mae=evaluate_lvd(model, val).mean_mae,
-        )
-        result.history.append(stats)
-        if best_params is None or stats.val_mae < result.best_val_mae:
-            result.best_epoch = epoch
-            result.best_val_mae = stats.val_mae
-            best_params = [p.copy() for p in model.graph.params()]
-    if best_params is not None:
-        for p, best in zip(model.graph.params(), best_params):
-            p[...] = best
+    result = fit(model.graph, pairs, objective,
+                 lambda part: evaluate_lvd(model, part).mean_mae, train, val, config)
+    result.weights = weights
     return model, result
 
 

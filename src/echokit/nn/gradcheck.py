@@ -1,11 +1,13 @@
 """Finite-difference verification of layer and model gradients.
 
-Layer checks project the output onto a fixed random vector, so the scalar
-"loss" L(x) = r . f(x) exercises every output element; analytic gradients
-from one backward pass are compared against central differences over every
-parameter and input element.  Relative error follows gradient_rel_error:
-worst elementwise discrepancy per tensor, normalized by the larger
-gradient magnitude.
+Every numeric gradient comes from central_difference, which perturbs one
+array element at a time in place and evaluates a scalar function only
+through forward passes.  Layer checks project the output onto a fixed
+random vector, so the scalar "loss" L(x) = r . f(x) exercises every output
+element; analytic gradients from one backward pass are compared against
+central differences over every parameter and input element.  Relative
+error follows gradient_rel_error: worst elementwise discrepancy per
+tensor, normalized by the larger gradient magnitude.
 
 Full models are too large for exhaustive differencing, so end-to-end
 checks difference a seeded random subset of parameter elements and
@@ -25,9 +27,54 @@ from .layers import (
     ModelGraph,
     Swish,
 )
-from .train import gradient_rel_error, value_and_grad
+from ..errors import ConfigurationError
+from .train import LOSSES, gradient_rel_error, value_and_grad
 
 DEFAULT_EPSILON = 1e-5
+
+
+def central_difference(f, a: np.ndarray, indices=None, epsilon: float = DEFAULT_EPSILON):
+    """Central differences of the scalar f() with respect to elements of *a*.
+
+    Each entry is (f() at a[i] + epsilon - f() at a[i] - epsilon) / (2 epsilon).
+    *a* is perturbed in place, one element at a time, and restored; *f*
+    takes no arguments and must read *a*.  *indices* are flat indices into
+    *a*, and the result has one entry per index; with None, every element
+    is differenced and the result has *a*'s shape.
+    """
+    if epsilon <= 0:
+        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+    flat = a.ravel()
+    picks = range(flat.size) if indices is None else indices
+    out = np.zeros(len(picks))
+    for j, i in enumerate(picks):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        plus = f()
+        flat[i] = orig - epsilon
+        minus = f()
+        flat[i] = orig
+        out[j] = (plus - minus) / (2.0 * epsilon)
+    return out.reshape(a.shape) if indices is None else out
+
+
+def batch_loss(graph: ModelGraph, batch, loss) -> float:
+    """Batch-mean loss from forward passes only; *loss* as value_and_grad takes it."""
+    if isinstance(loss, str):
+        loss = LOSSES[loss]
+    return sum(loss(graph.forward(x), t)[0] for x, t in batch) / len(batch)
+
+
+def finite_diff_grad(model: ModelGraph, batch, loss, epsilon: float = DEFAULT_EPSILON):
+    """Central-difference gradient of the batch loss for every parameter.
+
+    Independent of the reverse-mode path: only forward evaluations are
+    used.  O(#params) model evaluations, intended for verification.
+    """
+    return [
+        central_difference(lambda: batch_loss(model, batch, loss), p, epsilon=epsilon)
+        for p in model.params()
+    ]
 
 
 def layer_gradients(layer: Layer, x: np.ndarray, r: np.ndarray):
@@ -46,22 +93,8 @@ def fd_layer_gradients(layer: Layer, x: np.ndarray, r: np.ndarray,
     def loss() -> float:
         return float(np.sum(r * layer.forward(x, {})))
 
-    def diff_array(a: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(a)
-        flat_a, flat_g = a.ravel(), g.ravel()
-        for i in range(flat_a.size):
-            orig = flat_a[i]
-            flat_a[i] = orig + epsilon
-            plus = loss()
-            flat_a[i] = orig - epsilon
-            minus = loss()
-            flat_a[i] = orig
-            flat_g[i] = (plus - minus) / (2.0 * epsilon)
-        return g
-
-    dx = diff_array(x)
-    dparams = [diff_array(p) for p in layer.params()]
-    return dx, dparams
+    dx = central_difference(loss, x, epsilon=epsilon)
+    return dx, [central_difference(loss, p, epsilon=epsilon) for p in layer.params()]
 
 
 def check_layer(layer: Layer, x: np.ndarray, r: np.ndarray,
@@ -123,33 +156,13 @@ def check_model_subset(graph: ModelGraph, batch, loss, n_indices: int = 64,
     _, grads = value_and_grad(graph, batch, loss)
     analytic_flat = np.concatenate([g.ravel() for g in grads])
 
-    if isinstance(loss, str):
-        from .train import LOSSES
-
-        loss = LOSSES[loss]
-
-    def batch_loss() -> float:
-        return sum(loss(graph.forward(x), t)[0] for x, t in batch) / len(batch)
-
     params = graph.params()
-    sizes = [p.size for p in params]
-    total = sum(sizes)
+    bounds = np.cumsum([0] + [p.size for p in params])
     rng = np.random.default_rng(seed)
-    picks = rng.choice(total, size=min(n_indices, total), replace=False)
-
-    analytic = np.zeros(picks.size)
-    numeric = np.zeros(picks.size)
-    bounds = np.cumsum([0] + sizes)
-    for j, flat_index in enumerate(sorted(int(i) for i in picks)):
-        tensor = int(np.searchsorted(bounds, flat_index, side="right") - 1)
-        local = flat_index - bounds[tensor]
-        flat_p = params[tensor].ravel()
-        orig = flat_p[local]
-        flat_p[local] = orig + epsilon
-        plus = batch_loss()
-        flat_p[local] = orig - epsilon
-        minus = batch_loss()
-        flat_p[local] = orig
-        numeric[j] = (plus - minus) / (2.0 * epsilon)
-        analytic[j] = analytic_flat[flat_index]
-    return gradient_rel_error([analytic], [numeric])
+    picks = np.sort(rng.choice(bounds[-1], size=min(n_indices, bounds[-1]), replace=False))
+    numeric = [
+        central_difference(lambda: batch_loss(graph, batch, loss), p,
+                           picks[(lo <= picks) & (picks < hi)] - lo, epsilon)
+        for p, lo, hi in zip(params, bounds[:-1], bounds[1:])
+    ]
+    return gradient_rel_error([analytic_flat[picks]], [np.concatenate(numeric)])

@@ -1,4 +1,4 @@
-"""Losses, reverse-mode/finite-difference gradients, and optimizers."""
+"""Losses, reverse-mode gradients, optimizers, and the one training loop."""
 
 from __future__ import annotations
 
@@ -96,37 +96,6 @@ def value_and_grad(model: ModelGraph, batch, loss):
     return total / n, model.grads()
 
 
-def finite_diff_grad(model: ModelGraph, batch, loss, epsilon: float = 1e-5):
-    """Central-difference gradient of the batch loss for every parameter.
-
-    Independent of the reverse-mode path: only forward evaluations are
-    used.  O(#params) model evaluations, intended for verification.
-    """
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
-    if isinstance(loss, str):
-        loss = LOSSES[loss]
-
-    def batch_loss():
-        return sum(loss(model.forward(x), t)[0] for x, t in batch) / len(batch)
-
-    grads = []
-    for p in model.params():
-        g = np.zeros_like(p)
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + epsilon
-            plus = batch_loss()
-            flat_p[i] = orig - epsilon
-            minus = batch_loss()
-            flat_p[i] = orig
-            flat_g[i] = (plus - minus) / (2.0 * epsilon)
-        grads.append(g)
-    return grads
-
-
 def gradient_rel_error(analytic, numeric) -> float:
     """Worst per-tensor relative error between two gradient sets.
 
@@ -198,8 +167,66 @@ def make_optimizer(config: TrainConfig, params):
     return step
 
 
-def iterate_batches(n: int, batch_size: int, rng: np.random.Generator):
-    """Seeded random batch index lists covering 0..n-1 once."""
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def split(groups, seed: int, train_fraction: float = 0.8):
+    """Deterministic shuffled train/validation split of pre-grouped items.
+
+    *groups* is a list of item lists; a group never straddles the split.
+    Returns the two flat item lists, groups in shuffled order.
+    """
+    if not groups:
+        raise ShapeError("empty dataset")
+    order = np.random.default_rng(seed).permutation(len(groups))
+    n_train = int(round(train_fraction * len(groups)))
+    train = [s for gi in order[:n_train] for s in groups[gi]]
+    val = [s for gi in order[n_train:] for s in groups[gi]]
+    return train, val
+
+
+@dataclass
+class EpochStats:
+    epoch: int
+    train_mae: float
+    val_mae: float
+
+    def as_dict(self):
+        return {"epoch": self.epoch, "train_mae": self.train_mae, "val_mae": self.val_mae}
+
+
+@dataclass
+class TrainResult:
+    history: list[EpochStats] = field(default_factory=list)
+    best_epoch: int = -1
+    best_val_mae: float = float("nan")
+    weights: object = None  # loss weights derived from the training split, if any
+
+
+def fit(graph: ModelGraph, pairs, loss, evaluate, train, val, config: TrainConfig) -> TrainResult:
+    """Train *graph* in place; the best-validation-MAE weights are restored.
+
+    *pairs* are the (input, target) pairs of the *train* items and *loss*
+    is what value_and_grad takes.  After each epoch, *evaluate* maps an
+    item list to its MAE, for *train* and for *val* (*train* when *val* is
+    empty).  The seed fixes the batch order.  With epochs=0 the graph is
+    unchanged and the history is empty.
+    """
+    val = val or train
+    rng = np.random.default_rng(config.seed + 1)
+    step = make_optimizer(config, graph.params())
+    result = TrainResult()
+    best_params = None
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(pairs))
+        for start in range(0, len(pairs), config.batch_size):
+            batch = [pairs[i] for i in order[start : start + config.batch_size]]
+            _, grads = value_and_grad(graph, batch, loss)
+            step(grads)
+        stats = EpochStats(epoch=epoch, train_mae=evaluate(train), val_mae=evaluate(val))
+        result.history.append(stats)
+        if best_params is None or stats.val_mae < result.best_val_mae:
+            result.best_epoch = epoch
+            result.best_val_mae = stats.val_mae
+            best_params = [p.copy() for p in graph.params()]
+    if best_params is not None:
+        for p, best in zip(graph.params(), best_params):
+            p[...] = best
+    return result

@@ -14,6 +14,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .errors import EchokitError
+
 MAGIC = b"CTR1"
 
 _DTYPE_CODES = {np.dtype("<f4"): 1, np.dtype("<f8"): 2}
@@ -21,7 +23,7 @@ _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-class TensorFormatError(IOError):
+class TensorFormatError(EchokitError, IOError):
     """The byte stream is not a valid CTR1 record."""
 
 

@@ -3,7 +3,9 @@
 Everything here shares no code with the package.  Most oracles are plain
 nested loops with explicit bounds checks; the ``*_reference`` functions
 at the end are verbatim copies of earlier vectorized forms that the
-package's faster rewrites must reproduce bit for bit.
+package's faster rewrites must reproduce bit for bit.  The training-loop
+reference drives the package's value_and_grad and optimizer, which it
+does not re-implement; what it pins down is the loop around them.
 """
 
 import math
@@ -281,3 +283,40 @@ def swish_forward_reference(x, cache):
 
 def swish_backward_reference(dout, x, s):
     return dout * (s + x * s * (1.0 - s))
+
+
+# The epoch/batch loop that EF and LVD training each wrote out before they
+# shared one.  Training through the package must match it bit for bit.
+
+
+def train_loop_reference(graph, pairs, loss, evaluate, train, val, config):
+    """Returns ([(epoch, train_mae, val_mae), ...], best_epoch, best_val_mae)
+    and leaves the best-validation weights in *graph*."""
+    from echokit.nn import make_optimizer, value_and_grad
+
+    def iterate_batches(n, batch_size, rng):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
+
+    if not val:
+        val = train
+    rng = np.random.default_rng(config.seed + 1)
+    step = make_optimizer(config, graph.params())
+    history, best_epoch, best_val_mae = [], -1, float("nan")
+    best_params = None
+    for epoch in range(config.epochs):
+        for batch_idx in iterate_batches(len(train), config.batch_size, rng):
+            batch = [pairs[i] for i in batch_idx]
+            _, grads = value_and_grad(graph, batch, loss)
+            step(grads)
+        stats = (epoch, evaluate(train), evaluate(val))
+        history.append(stats)
+        if best_params is None or stats[2] < best_val_mae:
+            best_epoch = epoch
+            best_val_mae = stats[2]
+            best_params = [p.copy() for p in graph.params()]
+    if best_params is not None:
+        for p, best in zip(graph.params(), best_params):
+            p[...] = best
+    return history, best_epoch, best_val_mae

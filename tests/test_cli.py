@@ -6,6 +6,7 @@ import pytest
 
 from echokit import checkpoint, cli
 from echokit.ef import EfModel, EfModelConfig
+from echokit.errors import ConfigurationError, ShapeError
 from echokit.lvd import LvdModel, LvdModelConfig
 from echokit.report import Report
 from echokit.synth import EfSceneParams, gen_ef_video
@@ -193,6 +194,45 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             checkpoint.load_lvd_model(tmp_path / "ck")
 
+    @staticmethod
+    def edit_ef_manifest(tmp_path, edit):
+        model = EfModel.build(EfModelConfig(frame_shape=(8, 8), encoder_dim=8, seed=1))
+        checkpoint.save_checkpoint(tmp_path / "ck", "ef", model.config, model.graph)
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        return tmp_path / "ck"
+
+    def test_missing_config_key_rejected(self, tmp_path):
+        ck = self.edit_ef_manifest(tmp_path, lambda m: m["model_config"].pop("padding"))
+        with pytest.raises(ConfigurationError, match="padding"):
+            checkpoint.load_ef_model(ck)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        ck = self.edit_ef_manifest(
+            tmp_path, lambda m: m["model_config"].update(dropout=0.5)
+        )
+        with pytest.raises(ConfigurationError, match="exactly the keys"):
+            checkpoint.load_ef_model(ck)
+
+    def test_mistyped_config_value_rejected(self, tmp_path):
+        ck = self.edit_ef_manifest(
+            tmp_path, lambda m: m["model_config"].update(encoder_dim="8")
+        )
+        with pytest.raises(ConfigurationError, match="bad model_config"):
+            checkpoint.load_ef_model(ck)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["model_config"].update(encoder_dim=16),
+        lambda m: m["layers"][4].update(kind="dense"),
+    ], ids=["encoder_dim", "layer_kind"])
+    def test_layer_mismatch_rejected_before_params_read(self, tmp_path, edit):
+        ck = self.edit_ef_manifest(tmp_path, edit)
+        (ck / "params.ctr").unlink()  # the manifest check must come first
+        with pytest.raises(ShapeError, match="manifest layer"):
+            checkpoint.load_ef_model(ck)
+
 
 class TestExitCodes:
     def test_failed_verdict_exits_nonzero(self, monkeypatch):
@@ -207,9 +247,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             cli.main(["oracle-check", "--no-such-flag"])
 
-    def test_bad_thread_count_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["oracle-check", "--trials", "1", "--threads", "0"])
+    # SGD at this learning rate diverges, so overflow warnings are expected.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_typed_error_writes_failed_report_and_exits_2(self, tmp_path):
+        data = tmp_path / "data"
+        run(["synth", "lvd", "--out-dir", str(data), "--frames", "30",
+             "--frame-size", "32", "--seed", "6"])
+        out = tmp_path / "report.json"
+        code = run(["train-lvd", "--data", str(data), "--optimizer", "sgd", "--epochs", "3",
+                    "--batch-size", "8", "--seed", "6", "--out", str(out)])
+        assert code == 2
+        report = read_report(out)
+        assert report.subcommand == "train-lvd"
+        assert report.passed is False
+        assert report.metrics["error"] == "DomainError"
+        assert report.metrics["message"] == "keypoints must be finite"
 
 
 class TestReport:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from echokit.errors import ShapeError
+from echokit import ef, lvd
+from echokit.datasets import build_ef_samples, build_lvd_samples
+from echokit.errors import ConfigurationError, ShapeError
 from echokit.nn import (
     AdamState,
     Conv1d,
@@ -11,6 +13,7 @@ from echokit.nn import (
     Swish,
     TrainConfig,
     adam_step,
+    central_difference,
     finite_diff_grad,
     mae_loss,
     mae_value_and_grad,
@@ -18,7 +21,9 @@ from echokit.nn import (
     sgd_step,
     value_and_grad,
 )
-from echokit.nn.gradcheck import check_model_subset
+from echokit.nn.gradcheck import batch_loss, check_model_subset
+from echokit.synth import EfDatasetSpec, LvdDatasetSpec, LvdSceneParams
+from oracles import train_loop_reference
 
 
 def tiny_model(seed=0):
@@ -121,6 +126,27 @@ class TestFiniteDiff:
             errs.append(abs(fd[0][0, 0] - exact))
         assert errs[1] == pytest.approx(errs[0] / 4.0, rel=0.05)
 
+    def test_index_subset_matches_full_array_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        model = tiny_model(5)
+        batch = [(rng.standard_normal((5, 2)), np.array([0.2]))]
+        w = model.params()[0]
+        before = w.copy()
+
+        def f():
+            return batch_loss(model, batch, "mse")
+
+        full = central_difference(f, w)
+        picks = np.array([0, 3, 7, w.size - 1])
+        subset = central_difference(f, w, picks)
+        assert full.shape == w.shape
+        assert subset.tobytes() == full.ravel()[picks].tobytes()
+        assert w.tobytes() == before.tobytes()  # every perturbation restored
+
+    def test_nonpositive_epsilon_rejected(self):
+        with pytest.raises(ConfigurationError):
+            central_difference(lambda: 0.0, np.zeros(2), epsilon=0.0)
+
     def test_model_subset_check(self):
         rng = np.random.default_rng(4)
         model = tiny_model(4)
@@ -190,3 +216,66 @@ class TestReproducibility:
 
         a, b = run(), run()
         assert a.tobytes() == b.tobytes()
+
+
+def params_bytes(graph):
+    return b"".join(p.tobytes() for p in graph.params())
+
+
+class TestFit:
+    """Training through fit() reproduces the loop EF and LVD each used to
+    write out, bit for bit: parameters, history and best epoch."""
+
+    @staticmethod
+    def assert_same_run(graph, result, ref_graph, ref):
+        history, best_epoch, best_val_mae = ref
+        assert [(h.epoch, h.train_mae, h.val_mae) for h in result.history] == history
+        assert (result.best_epoch, result.best_val_mae) == (best_epoch, best_val_mae)
+        assert params_bytes(graph) == params_bytes(ref_graph)
+
+    @pytest.mark.parametrize("loss", ["mae", "mse"])
+    def test_ef_matches_reference_loop(self, loss):
+        samples = build_ef_samples(
+            EfDatasetSpec(n_videos=10, frame_dims=(12, 12), n_beats=2, seed=3)
+        )
+        assert len({s.video_id for s in samples}) < len(samples)  # grouping matters
+        config = TrainConfig(learning_rate=3e-3, batch_size=4, epochs=3, seed=5, loss=loss)
+        model_config = ef.EfModelConfig(frame_shape=(12, 12), encoder_dim=8, seed=5)
+        model, result = ef.train_ef(ef.EfModel.build(model_config), samples, config)
+
+        ref = ef.EfModel.build(model_config)
+        train, val = ef.split_dataset(samples, seed=config.seed)
+        pairs = [(ref.prepare_input(s.clip), np.array([s.ef_true / ef.OUTPUT_SCALE]))
+                 for s in train]
+        out = train_loop_reference(ref.graph, pairs, loss,
+                                   lambda part: ef.evaluate_mae(ref, part), train, val, config)
+        self.assert_same_run(model.graph, result, ref.graph, out)
+
+    def test_lvd_matches_reference_loop(self):
+        samples = build_lvd_samples(LvdDatasetSpec(
+            n_frames=20, scene=LvdSceneParams.for_frame((32, 32)), seed=6,
+        ))
+        config = TrainConfig(learning_rate=3e-3, batch_size=8, epochs=3, seed=6)
+        model_config = lvd.LvdModelConfig(frame_shape=(32, 32), channels=(4, 8, 8),
+                                          hidden=16, seed=6)
+        model, result = lvd.train_lvd(lvd.LvdModel.build(model_config), samples, config,
+                                      coord_coef=0.5)
+
+        # the per-frame split as it was written before frames became groups
+        order = np.random.default_rng(config.seed).permutation(len(samples))
+        train = [samples[i] for i in order[:16]]
+        val = [samples[i] for i in order[16:]]
+        split_train, split_val = lvd.split_samples(samples, seed=config.seed)
+        assert [id(s) for s in split_train + split_val] == [id(s) for s in train + val]
+
+        ref = lvd.LvdModel.build(model_config)
+        weights = lvd.loss_weights([s.dimensions() for s in train])
+        objective = lvd.LvdObjective(weights, ref.coord_scale(), 0.5)
+        pairs = [(ref.prepare_input(s.frame),
+                  (s.keypoints.points, s.mm_per_pixel, s.dimensions().as_array()))
+                 for s in train]
+        out = train_loop_reference(ref.graph, pairs, objective,
+                                   lambda part: lvd.evaluate_lvd(ref, part).mean_mae,
+                                   train, val, config)
+        self.assert_same_run(model.graph, result, ref.graph, out)
+        assert result.weights == weights
