@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 from itertools import zip_longest
 from pathlib import Path
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, InputNotFoundError, ShapeError
 from .nn import ModelGraph
 from .tensorio import read_tensor_stream, write_tensor_stream
 
@@ -51,7 +51,7 @@ def load_manifest(path) -> dict:
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
-        raise FileNotFoundError(f"missing checkpoint manifest: {manifest_path}")
+        raise InputNotFoundError(f"missing checkpoint manifest: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
@@ -63,9 +63,11 @@ def load_manifest(path) -> dict:
 
 def load_params_into(path, graph: ModelGraph) -> None:
     """Read params.ctr into an already-built graph, checking shapes."""
-    path = Path(path)
+    params_path = Path(path) / "params.ctr"
+    if not params_path.exists():
+        raise InputNotFoundError(f"missing checkpoint parameters: {params_path}")
     params = graph.params()
-    with open(path / "params.ctr", "rb") as fh:
+    with open(params_path, "rb") as fh:
         for i, p in enumerate(params):
             stored = read_tensor_stream(fh)
             if stored.shape != p.shape:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import beats, checkpoint, convops, datasets, ef, lvd, synth, tensorio
 from .nn import TrainConfig
-from .errors import EchokitError
+from .errors import EchokitError, InputNotFoundError, ShapeError
 from .nn.gradcheck import DEFAULT_EPSILON, LAYER_KINDS, check_layer_kind, check_model_subset
 from .report import Report
 
@@ -214,7 +214,7 @@ def cmd_extract_beats(args) -> Report:
     video = tensorio.read_tensor(_existing(args.video))
     masks = tensorio.read_tensor(_existing(args.masks))
     if video.shape != masks.shape:
-        raise SystemExit(f"video {video.shape} and masks {masks.shape} differ in shape")
+        raise ShapeError(f"video {video.shape} and masks {masks.shape} differ in shape")
     signal = beats.area_signal(masks, frame_rate=args.frame_rate)
     extrema = beats.detect_extrema(
         signal,
@@ -336,7 +336,7 @@ def cmd_train_ef(args) -> Report:
         },
         metrics={
             "n_samples": len(samples),
-            "n_params": model.n_params(),
+            "n_params": model.graph.n_params(),
             "best_epoch": result.best_epoch,
             "best_val_mae": result.best_val_mae,
             "baseline_val_mae": baseline,
@@ -395,7 +395,7 @@ def cmd_train_lvd(args) -> Report:
         },
         metrics={
             "n_samples": len(samples),
-            "n_params": model.n_params(),
+            "n_params": model.graph.n_params(),
             "best_epoch": result.best_epoch,
             "best_val_mae": result.best_val_mae,
             "baseline_val_mae": baseline.mean_mae,
@@ -428,7 +428,7 @@ def cmd_eval_lvd(args) -> Report:
 def _existing(path) -> Path:
     p = Path(path)
     if not p.exists():
-        raise SystemExit(f"input path does not exist: {p}")
+        raise InputNotFoundError(f"input path does not exist: {p}")
     return p
 
 

@@ -8,9 +8,11 @@ conv_spatial():     per-frame 2D convolution,
 conv_temporal():    per-pixel 1D convolution along time,
 conv_factored():    spatial followed by temporal convolution for a
                     separable (Kronecker-factorizable) kernel,
-depthwise_separable_conv2d(): per-channel spatial conv + 1x1 channel mix,
 kron_kernel():      expand a separable kernel into its dense 3D form,
-flop_model():       closed-form multiply counts for full/factored modes.
+flop_model():       closed-form multiply counts for full/factored modes,
+pad_spatial(), depthwise_nd(): the zero padding and per-channel spatial
+                    convolution inside nn.DepthwiseSeparable2d, the one
+                    implementation of the depthwise-separable convolution.
 
 All convolutions are cross-correlations (no kernel flip), the usual
 deep-learning convention.  Padding is either "same" (zero fill, odd kernel
@@ -267,10 +269,11 @@ def pad_spatial(x: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
     return out
 
 
-def depthwise_nd(x: np.ndarray, kernels: np.ndarray, padding: str) -> np.ndarray:
-    """Per-channel spatial convolution of an (..., H, W, C) array.
+def depthwise_nd(padded: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Per-channel "valid" spatial convolution of an (..., H, W, C) array.
 
-    Leading axes are treated as batch dims; kernels has shape (C, kh, kw).
+    Leading axes are treated as batch dims; kernels has shape (C, kh, kw),
+    and callers wanting "same" output zero-pad first with pad_spatial.
     Taps are summed in row-major order into one output through one
     scratch buffer, so no temporary is allocated per tap.  Each tap's
     weights are repeated across a row, so a window row and its weights
@@ -278,12 +281,7 @@ def depthwise_nd(x: np.ndarray, kernels: np.ndarray, padding: str) -> np.ndarray
     rows instead of C values at a time.
     """
     kh, kw = kernels.shape[1:]
-    if padding == "same":
-        padded = pad_spatial(x, kh // 2, kw // 2)
-        out_h, out_w = x.shape[-3], x.shape[-2]
-    else:
-        padded = x
-        out_h, out_w = x.shape[-3] - kh + 1, x.shape[-2] - kw + 1
+    out_h, out_w = padded.shape[-3] - kh + 1, padded.shape[-2] - kw + 1
     rows = np.repeat(kernels.transpose(1, 2, 0)[:, :, None, :], out_w, axis=2)
     out = padded[..., :out_h, :out_w, :] * rows[0, 0]
     term = np.empty_like(out)
@@ -294,83 +292,6 @@ def depthwise_nd(x: np.ndarray, kernels: np.ndarray, padding: str) -> np.ndarray
             window = padded[..., i : i + out_h, j : j + out_w, :]
             out += np.multiply(window, rows[i, j], out=term)
     return out
-
-
-def depthwise_conv2d(
-    frame: np.ndarray,
-    kernels: np.ndarray,
-    padding: str = "same",
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Convolve each channel of an (H, W, C) frame with its own 2D kernel.
-
-    kernels has shape (C, kh, kw).  Costs kh*kw multiplies per output
-    element per channel.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 3:
-        raise ShapeError(f"frame must be (H, W, C), got shape {frame.shape}")
-    kernels = np.asarray(kernels, dtype=np.float64)
-    if kernels.ndim != 3:
-        raise ShapeError(f"depthwise kernels must be (C, kh, kw), got {kernels.shape}")
-    if kernels.shape[0] != frame.shape[2]:
-        raise ShapeError(
-            f"depthwise kernel count {kernels.shape[0]} != input channels "
-            f"{frame.shape[2]}"
-        )
-    kh, kw = kernels.shape[1:]
-    _check_padding(padding, (kh, kw))
-    if padding == "valid" and (kh > frame.shape[0] or kw > frame.shape[1]):
-        raise ShapeError(
-            f"depthwise kernel {(kh, kw)} does not fit inside frame "
-            f"{frame.shape[:2]} in 'valid' mode"
-        )
-
-    out = depthwise_nd(frame, kernels, padding)
-    if counter is not None:
-        n = out.shape[0] * out.shape[1] * frame.shape[2]
-        counter.add(multiplies=kh * kw * n, adds=(kh * kw - 1) * n)
-    return out
-
-
-def pointwise_conv2d(
-    frame: np.ndarray,
-    matrix: np.ndarray,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Apply a (C_in, C_out) linear map at every pixel of an (H, W, C_in) frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ShapeError(f"pointwise matrix must be 2D, got shape {matrix.shape}")
-    if frame.shape[2] != matrix.shape[0]:
-        raise ShapeError(
-            f"pointwise matrix rows {matrix.shape[0]} != input channels "
-            f"{frame.shape[2]}"
-        )
-    out = frame @ matrix
-    if counter is not None:
-        c_in, c_out = matrix.shape
-        n = frame.shape[0] * frame.shape[1] * c_out
-        counter.add(multiplies=c_in * n, adds=(c_in - 1) * n)
-    return out
-
-
-def depthwise_separable_conv2d(
-    frame: np.ndarray,
-    depthwise: np.ndarray,
-    pointwise: np.ndarray,
-    padding: str = "same",
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Depthwise spatial convolution followed by a 1x1 cross-channel map.
-
-    Factors the spatial and cross-channel correlations of a standard 2D
-    convolution: each input channel is convolved with its own (kh, kw)
-    kernel, then a (C_in, C_out) matrix mixes channels at every pixel.
-    """
-    mixed = depthwise_conv2d(frame, depthwise, padding, counter)
-    return pointwise_conv2d(mixed, pointwise, counter)
 
 
 def flop_model(

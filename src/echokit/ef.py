@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .beats import BeatClip
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, InputNotFoundError, ShapeError
 from .nn import (
     Conv1d,
     Dense,
@@ -154,9 +154,6 @@ class EfModel:
         raw = self.graph.forward(self.prepare_input(clip))
         return float(raw[0]) * OUTPUT_SCALE
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.graph.params())
-
 
 def encode_frames(model: EfModel, clip: BeatClip | np.ndarray) -> np.ndarray:
     """Per-frame feature vectors, shape (T, D); frames do not interact."""
@@ -246,7 +243,7 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
     data_dir = Path(data_dir)
     labels_path = data_dir / "labels.csv"
     if not labels_path.exists():
-        raise FileNotFoundError(f"missing labels file: {labels_path}")
+        raise InputNotFoundError(f"missing labels file: {labels_path}")
     video_of: dict[str, str] = {}
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():

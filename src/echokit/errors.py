@@ -24,3 +24,7 @@ class ValidationError(EchokitError, ValueError):
 
 class DomainError(EchokitError, ValueError):
     """A physical quantity is outside its admissible range."""
+
+
+class InputNotFoundError(EchokitError, FileNotFoundError):
+    """A required input file or directory does not exist."""

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, InputNotFoundError, ShapeError
 from .nn import (
     Dense,
     DepthwiseSeparable2d,
@@ -112,15 +112,19 @@ class LossWeights:
         return np.array([self.w_ivs, self.w_lvid, self.w_lvpw], dtype=np.float64)
 
 
+def segment_lengths(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Differences p[m] - p[m+1] of four (row, col) points and their lengths."""
+    diffs = points[:-1] - points[1:]
+    return diffs, np.sqrt((diffs**2).sum(axis=1))
+
+
 def dimensions_from_keypoints(kp: KeypointSet, cal: Calibration) -> LvDimensions:
     """Euclidean distances between adjacent keypoints, in millimeters.
 
     Coincident adjacent points yield a zero dimension; callers doing batch
     evaluation should record such results as degenerate rather than fail.
     """
-    diffs = kp.points[:-1] - kp.points[1:]
-    lengths = np.sqrt((diffs**2).sum(axis=1)) * cal.mm_per_pixel
-    return LvDimensions(*lengths)
+    return LvDimensions(*(segment_lengths(kp.points)[1] * cal.mm_per_pixel))
 
 
 def loss_weights(train_labels) -> LossWeights:
@@ -143,6 +147,8 @@ def loss_weights(train_labels) -> LossWeights:
 
 
 def _dims_batch(dims) -> np.ndarray:
+    if isinstance(dims, np.ndarray):
+        return np.atleast_2d(dims)
     if isinstance(dims, LvDimensions):
         dims = [dims]
     return np.stack([d.as_array() for d in dims])
@@ -151,7 +157,8 @@ def _dims_batch(dims) -> np.ndarray:
 def lvd_loss(pred, target, weights: LossWeights) -> float:
     """Weighted squared length errors, averaged over the batch.
 
-    *pred* and *target* are LvDimensions or equal-length sequences thereof.
+    *pred* and *target* are LvDimensions, equal-length sequences thereof,
+    or (B, 3) / (3,) arrays of (ivs, lvid, lvpw) lengths.
     """
     p, t = _dims_batch(pred), _dims_batch(target)
     if p.shape != t.shape:
@@ -221,9 +228,6 @@ class LvdModel:
     def predict_raw(self, frame: np.ndarray) -> np.ndarray:
         return self.graph.forward(self.prepare_input(frame))
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.graph.params())
-
 
 def predict_keypoints(model: LvdModel, frame: np.ndarray) -> KeypointSet:
     """Predicted keypoints in pixel coordinates, clamped to the frame."""
@@ -255,14 +259,15 @@ class LvdSample:
 class LvdObjective:
     """Coordinate MSE plus the weighted length loss, on raw model outputs.
 
-    The coordinate term anchors the four points; the length term matches
-    the measured dimensions.  The coordinate coefficient defaults to 1 and
-    is exposed on the training CLI.
+    The coordinate term anchors the four points; the length term is
+    lvd_loss on the lengths of the predicted segments, and a zero-length
+    segment passes it no gradient.  The coordinate coefficient defaults to
+    1 and is exposed on the training CLI.
     """
 
     def __init__(self, weights: LossWeights, coord_scale: np.ndarray,
                  coord_coef: float = 1.0):
-        self.weights = weights.as_array()
+        self.weights = weights
         self.scale = np.asarray(coord_scale, dtype=np.float64)
         self.coord_coef = coord_coef
 
@@ -273,27 +278,18 @@ class LvdObjective:
         coord_value = float(np.mean(diff_px**2))
         d_raw = self.coord_coef * 2.0 * diff_px / diff_px.size * self.scale
 
-        points = pred_px.reshape(4, 2)
-        value = self.coord_coef * coord_value
-        d_points = np.zeros_like(points)
-        for m in range(3):
-            v = points[m] - points[m + 1]
-            length_px = float(np.sqrt(v @ v))
-            length_mm = length_px * mm_per_pixel
-            err = length_mm - target_mm[m]
-            value += self.weights[m] * err * err
-            if length_px > 0.0:
-                direction = v / length_px
-                pull = 2.0 * self.weights[m] * err * mm_per_pixel * direction
-                d_points[m] += pull
-                d_points[m + 1] -= pull
+        diffs, length_px = segment_lengths(pred_px.reshape(4, 2))
+        length_mm = length_px * mm_per_pixel
+        value = self.coord_coef * coord_value + lvd_loss(length_mm, target_mm, self.weights)
+        d_length = lvd_loss_grad(length_mm, target_mm, self.weights)[0] * mm_per_pixel
+        direction = np.divide(diffs, length_px[:, None], out=np.zeros((3, 2)),
+                              where=length_px[:, None] > 0.0)
+        pull = d_length[:, None] * direction
+        d_points = np.zeros((4, 2))
+        d_points[:-1] += pull
+        d_points[1:] -= pull
         d_raw += d_points.ravel() * self.scale
         return value, d_raw
-
-
-def center_baseline_dimensions() -> LvDimensions:
-    """Dimensions of the all-points-at-center constant predictor."""
-    return LvDimensions(0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -350,7 +346,7 @@ def constant_baseline_mae(samples, dims: LvDimensions | None = None) -> LvdEvalu
     if not samples:
         raise ShapeError("empty dataset")
     if dims is None:
-        dims = center_baseline_dimensions()
+        dims = LvDimensions(0.0, 0.0, 0.0)
     errors = np.stack(
         [np.abs(dims.as_array() - s.dimensions().as_array()) for s in samples]
     )
@@ -401,7 +397,7 @@ def load_lvd_dataset(data_dir) -> list[LvdSample]:
     data_dir = Path(data_dir)
     labels_path = data_dir / "labels.csv"
     if not labels_path.exists():
-        raise FileNotFoundError(f"missing labels file: {labels_path}")
+        raise InputNotFoundError(f"missing labels file: {labels_path}")
     samples = []
     with open(labels_path, newline="") as fh:
         reader = csv.DictReader(fh)

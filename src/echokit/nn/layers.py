@@ -68,9 +68,6 @@ class Layer:
         for g in self.grads():
             g[...] = 0.0
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params())
-
     def forward(self, x: np.ndarray, cache: dict) -> np.ndarray:
         raise NotImplementedError
 
@@ -205,18 +202,6 @@ class Swish(Layer):
         return d
 
 
-def swish(x):
-    """Swish activation of a scalar or array."""
-    x = np.asarray(x, dtype=np.float64)
-    return x * sigmoid(x)
-
-
-def swish_derivative(x):
-    x = np.asarray(x, dtype=np.float64)
-    s = sigmoid(x)
-    return s + x * s * (1.0 - s)
-
-
 class GlobalMaxPool1d(Layer):
     """Per-feature maximum over the time axis of a (T, F) sequence.
 
@@ -278,7 +263,7 @@ class DepthwiseSeparable2d(Layer):
             )
         pad = self.depthwise.shape[1] // 2
         xp = pad_spatial(x, pad, pad)
-        mid = depthwise_nd(xp, self.depthwise, padding="valid")
+        mid = depthwise_nd(xp, self.depthwise)
         out = mid.reshape(-1, mid.shape[-1]) @ self.pointwise
         out += self.b
         cache["xp"], cache["mid"] = xp, mid
@@ -468,15 +453,6 @@ class ModelGraph:
     def kinds(self) -> list[str]:
         return [layer.kind for layer in self.layers]
 
-    def get_params_flat(self) -> np.ndarray:
-        params = self.params()
-        if not params:
-            return np.zeros(0)
-        return np.concatenate([p.ravel() for p in params])
-
-
-def count_params(model: ModelGraph | Layer) -> int:
-    """Total number of parameter elements in a model or a single layer."""
-    if isinstance(model, Layer):
-        return model.n_params()
-    return sum(p.size for p in model.params())
+    def n_params(self) -> int:
+        """Total number of parameter elements."""
+        return sum(p.size for p in self.params())

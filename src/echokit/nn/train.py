@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigurationError, ShapeError
+from ..errors import ConfigurationError, DomainError, ShapeError
 from .layers import ModelGraph
 
 
@@ -44,18 +45,6 @@ def _check_pair(pred, target):
     if pred.size == 0:
         raise ShapeError("empty prediction/target")
     return pred, target
-
-
-def mae_loss(pred, target) -> float:
-    """Mean absolute error."""
-    pred, target = _check_pair(pred, target)
-    return float(np.mean(np.abs(pred - target)))
-
-
-def mse_loss(pred, target) -> float:
-    """Mean squared error."""
-    pred, target = _check_pair(pred, target)
-    return float(np.mean((pred - target) ** 2))
 
 
 def mae_value_and_grad(pred, target):
@@ -207,7 +196,8 @@ def fit(graph: ModelGraph, pairs, loss, evaluate, train, val, config: TrainConfi
     is what value_and_grad takes.  After each epoch, *evaluate* maps an
     item list to its MAE, for *train* and for *val* (*train* when *val* is
     empty).  The seed fixes the batch order.  With epochs=0 the graph is
-    unchanged and the history is empty.
+    unchanged and the history is empty.  A non-finite batch loss raises
+    DomainError before the optimizer steps on its gradients.
     """
     val = val or train
     rng = np.random.default_rng(config.seed + 1)
@@ -218,7 +208,12 @@ def fit(graph: ModelGraph, pairs, loss, evaluate, train, val, config: TrainConfi
         order = rng.permutation(len(pairs))
         for start in range(0, len(pairs), config.batch_size):
             batch = [pairs[i] for i in order[start : start + config.batch_size]]
-            _, grads = value_and_grad(graph, batch, loss)
+            value, grads = value_and_grad(graph, batch, loss)
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"training loss is {value} at epoch {epoch}, "
+                    f"batch {start // config.batch_size}"
+                )
             step(grads)
         stats = EpochStats(epoch=epoch, train_mae=evaluate(train), val_mae=evaluate(val))
         result.history.append(stats)

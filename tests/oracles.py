@@ -320,3 +320,34 @@ def train_loop_reference(graph, pairs, loss, evaluate, train, val, config):
         for p, best in zip(graph.params(), best_params):
             p[...] = best
     return history, best_epoch, best_val_mae
+
+
+# The LVD objective as it was written before its length term went through
+# lvd_loss and lvd_loss_grad.  The package's objective must match it to
+# rounding: the sums are the same, grouped differently.
+
+
+def lvd_objective_reference(weights, scale, coord_coef, raw, target):
+    """``LvdObjective.__call__`` with its weights as a (3,) array."""
+    kp_px, mm_per_pixel, target_mm = target
+    pred_px = raw * scale
+    diff_px = pred_px - kp_px.ravel()
+    coord_value = float(np.mean(diff_px**2))
+    d_raw = coord_coef * 2.0 * diff_px / diff_px.size * scale
+
+    points = pred_px.reshape(4, 2)
+    value = coord_coef * coord_value
+    d_points = np.zeros_like(points)
+    for m in range(3):
+        v = points[m] - points[m + 1]
+        length_px = float(np.sqrt(v @ v))
+        length_mm = length_px * mm_per_pixel
+        err = length_mm - target_mm[m]
+        value += weights[m] * err * err
+        if length_px > 0.0:
+            direction = v / length_px
+            pull = 2.0 * weights[m] * err * mm_per_pixel * direction
+            d_points[m] += pull
+            d_points[m + 1] -= pull
+    d_raw += d_points.ravel() * scale
+    return value, d_raw

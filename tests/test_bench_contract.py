@@ -3,7 +3,9 @@
 perfbench/ drives echokit through its public names (CLI parsers and
 commands, dataset splits, loss weights, the LVD objective, value_and_grad,
 checkpoint loaders).  Each training workload runs here, shrunk to a few
-seconds, and must finish without a failed operation.
+seconds, and must finish without a failed operation.  Every name its
+traced runs wrap must still exist, since a missing one is skipped and its
+span would silently drop out of the per-layer metrics.
 """
 
 import sys
@@ -15,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench import runner  # noqa: E402
+from perfbench import probes, runner  # noqa: E402
+from perfbench.spans import Tracer  # noqa: E402
 from perfbench.training import EfTrain, LvdTrain  # noqa: E402
 
 
@@ -28,3 +31,32 @@ def test_training_workload_has_no_failed_operations(tmp_path, name, workload):
                         workload=workload)
     assert result.ledger.attempted > 0
     assert result.ledger.failed == 0, result.ledger.errors
+
+
+class MissRecordingTracer(Tracer):
+    """A Tracer that records the span name of every target it cannot find."""
+
+    def __init__(self):
+        super().__init__()
+        self.misses = []
+
+    def patch(self, owner, attr, name, **options):
+        if not hasattr(owner, attr):
+            self.misses.append(name)
+        super().patch(owner, attr, name, **options)
+
+    def patch_function(self, module, attr, name, **options):
+        if getattr(module, attr, None) is None:
+            self.misses.append(name)
+        super().patch_function(module, attr, name, **options)
+
+
+@pytest.mark.parametrize("name", sorted(runner.WORKLOADS))
+def test_every_tracing_target_exists(name):
+    tracer = MissRecordingTracer()
+    try:
+        probes.install(tracer, runner.WORKLOADS[name]())
+        assert tracer.misses == []
+        assert tracer._patches
+    finally:
+        tracer.uninstall()

@@ -21,6 +21,13 @@ def read_report(path):
     return Report.from_json(path.read_text())
 
 
+def assert_failed_report(path, error, message_part):
+    report = read_report(path)
+    assert report.passed is False
+    assert report.metrics["error"] == error
+    assert message_part in report.metrics["message"]
+
+
 class TestOracleCheck:
     def test_small_run_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -93,14 +100,18 @@ class TestExtractBeats:
     def test_shape_mismatch_exits_nonzero(self, tmp_path):
         write_tensor(tmp_path / "v.ctr", np.zeros((4, 4, 10)))
         write_tensor(tmp_path / "m.ctr", np.zeros((4, 4, 8)))
-        with pytest.raises(SystemExit):
-            run(["extract-beats", "--video", str(tmp_path / "v.ctr"),
-                 "--masks", str(tmp_path / "m.ctr"), "--out-dir", str(tmp_path / "o")])
+        code = run(["extract-beats", "--video", str(tmp_path / "v.ctr"),
+                    "--masks", str(tmp_path / "m.ctr"), "--out-dir", str(tmp_path / "o"),
+                    "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert_failed_report(tmp_path / "report.json", "ShapeError", "differ in shape")
 
     def test_missing_input_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run(["extract-beats", "--video", str(tmp_path / "nope.ctr"),
-                 "--masks", str(tmp_path / "nope.ctr"), "--out-dir", str(tmp_path / "o")])
+        code = run(["extract-beats", "--video", str(tmp_path / "nope.ctr"),
+                    "--masks", str(tmp_path / "nope.ctr"), "--out-dir", str(tmp_path / "o"),
+                    "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert_failed_report(tmp_path / "report.json", "InputNotFoundError", "nope.ctr")
 
 
 class TestSynthCommand:
@@ -233,6 +244,16 @@ class TestCheckpoint:
         with pytest.raises(ShapeError, match="manifest layer"):
             checkpoint.load_ef_model(ck)
 
+    def test_eval_without_checkpoint_writes_failed_report(self, tmp_path):
+        data = tmp_path / "data"
+        run(["synth", "lvd", "--out-dir", str(data), "--frames", "4",
+             "--frame-size", "16", "--seed", "1"])
+        (tmp_path / "empty").mkdir()
+        code = run(["eval-lvd", "--data", str(data), "--model", str(tmp_path / "empty"),
+                    "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert_failed_report(tmp_path / "report.json", "InputNotFoundError", "manifest.json")
+
 
 class TestExitCodes:
     def test_failed_verdict_exits_nonzero(self, monkeypatch):
@@ -261,7 +282,7 @@ class TestExitCodes:
         assert report.subcommand == "train-lvd"
         assert report.passed is False
         assert report.metrics["error"] == "DomainError"
-        assert report.metrics["message"] == "keypoints must be finite"
+        assert report.metrics["message"] == "training loss is inf at epoch 1, batch 0"
 
 
 class TestReport:

@@ -9,11 +9,11 @@ from echokit.convops import (
     conv_factored,
     conv_spatial,
     conv_temporal,
-    depthwise_separable_conv2d,
     flop_model,
     kron_kernel,
 )
 from echokit.errors import ConfigurationError, ShapeError, ValidationError
+from echokit.nn import DepthwiseSeparable2d
 
 from oracles import conv1d_loops, conv2d_loops, conv3d_loops, depthwise_separable_loops
 
@@ -164,18 +164,25 @@ class TestConvFactored:
         assert c_full.multiplies * 56 == c_fact.multiplies * 343
 
 
+def depthwise_separable(x, depthwise, pointwise):
+    """The "same"-padded DepthwiseSeparable2d layer with these weights, zero bias."""
+    c_in, k = depthwise.shape[:2]
+    layer = DepthwiseSeparable2d(c_in, pointwise.shape[1], k)
+    layer.depthwise[...] = depthwise
+    layer.pointwise[...] = pointwise
+    return layer.forward(x, {})
+
+
 class TestDepthwiseSeparable:
     def test_single_channel_identity(self):
         x = np.random.default_rng(13).standard_normal((4, 4, 1))
-        out = depthwise_separable_conv2d(
-            x, delta_kernel((3, 3))[None, :, :], np.array([[1.0]]), "same"
-        )
+        out = depthwise_separable(x, delta_kernel((3, 3))[None, :, :], np.array([[1.0]]))
         np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_pointwise_channel_sum(self):
         x = np.random.default_rng(14).standard_normal((4, 4, 2))
         dw = np.stack([delta_kernel((3, 3))] * 2)
-        out = depthwise_separable_conv2d(x, dw, np.array([[1.0], [1.0]]), "same")
+        out = depthwise_separable(x, dw, np.array([[1.0], [1.0]]))
         np.testing.assert_allclose(out[:, :, 0], x.sum(axis=2), atol=1e-14)
 
     def test_matches_composition_oracle(self):
@@ -183,15 +190,13 @@ class TestDepthwiseSeparable:
         x = rng.standard_normal((6, 6, 3))
         dw = rng.standard_normal((3, 3, 3))
         pw = rng.standard_normal((3, 2))
-        got = depthwise_separable_conv2d(x, dw, pw, "same")
+        got = depthwise_separable(x, dw, pw)
         want = depthwise_separable_loops(x, dw, pw, "same")
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            depthwise_separable_conv2d(
-                np.zeros((4, 4, 2)), np.zeros((3, 3, 3)), np.zeros((3, 1)), "same"
-            )
+            DepthwiseSeparable2d(3, 1, 3).forward(np.zeros((4, 4, 2)), {})
 
 
 class TestFlopModel:

@@ -179,11 +179,11 @@ class TestEvaluateMae:
 class TestTrainEf:
     def test_zero_epochs_leaves_model_unchanged(self):
         model = small_model(seed=3)
-        before = model.graph.get_params_flat().copy()
+        before = [p.copy() for p in model.graph.params()]
         samples = [EfSample(make_clip(seed=i), ef_true=50.0 + i) for i in range(5)]
         model, result = train_ef(model, samples, TrainConfig(epochs=0, seed=1))
         assert result.history == []
-        np.testing.assert_array_equal(model.graph.get_params_flat(), before)
+        np.testing.assert_equal(model.graph.params(), before)
 
     def test_single_sample_memorization(self):
         model = small_model(seed=4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from echokit import ef, lvd
-from echokit.convops import depthwise_nd
+from echokit.convops import depthwise_nd, pad_spatial
 from echokit.errors import ShapeError
 from echokit.nn import (
     Conv1d,
@@ -14,9 +14,6 @@ from echokit.nn import (
     MaxPool2d,
     ModelGraph,
     Swish,
-    count_params,
-    swish,
-    swish_derivative,
     value_and_grad,
 )
 from echokit.nn import layers
@@ -79,20 +76,31 @@ class TestConv1d:
             layer.forward(np.zeros((3, 1)), {})
 
 
+def swish(x):
+    """The Swish layer's output for an input array."""
+    return Swish().forward(np.asarray(x, dtype=np.float64), {})
+
+
+def swish_derivative(x):
+    """The Swish layer's input gradient for an all-ones output gradient."""
+    layer, cache = Swish(), {}
+    layer.forward(np.asarray(x, dtype=np.float64), cache)
+    return layer.backward(np.ones(np.shape(x)), cache)
+
+
 class TestSwish:
     def test_zero(self):
-        assert swish(0.0) == 0.0
+        assert swish([0.0])[0] == 0.0
 
     def test_large_input_asymptote(self):
-        assert abs(swish(20.0) - 20.0) <= 1e-7
+        assert abs(swish([20.0])[0] - 20.0) <= 1e-7
 
     def test_derivative_at_zero(self):
-        assert swish_derivative(0.0) == pytest.approx(0.5)
+        assert swish_derivative([0.0])[0] == pytest.approx(0.5)
 
     def test_layer_matches_function(self):
         x = np.linspace(-3, 3, 13)
-        layer = Swish()
-        np.testing.assert_allclose(layer.forward(x, {}), swish(x))
+        np.testing.assert_allclose(swish(x), x / (1.0 + np.exp(-x)))
 
 
 class TestGlobalMaxPool:
@@ -273,11 +281,13 @@ class TestReferenceBitIdentity:
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_depthwise_nd(self, padding):
+        """For "same", pad_spatial then depthwise_nd, as DepthwiseSeparable2d does."""
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 3, 9, 7, 4))
         kernels = rng.standard_normal((4, 3, 5))
+        padded = pad_spatial(x, 1, 2) if padding == "same" else x
         assert_bits_equal(
-            depthwise_nd(x, kernels, padding), depthwise_nd_reference(x, kernels, padding)
+            depthwise_nd(padded, kernels), depthwise_nd_reference(x, kernels, padding)
         )
 
     @pytest.mark.parametrize("shape", [(5, 16, 16, 1), (3, 8, 8, 6), (9, 7, 3)])
@@ -427,10 +437,10 @@ class TestGradients:
 class TestCountParams:
     def test_pooling_only_zero(self):
         model = ModelGraph([GlobalMaxPool1d()])
-        assert count_params(model) == 0
+        assert model.n_params() == 0
 
     def test_dense_with_bias(self):
-        assert count_params(Dense(4, 3)) == 15
+        assert ModelGraph([Dense(4, 3)]).n_params() == 15
 
     def test_default_ef_head_hand_count(self):
         # conv1d 64->128 k7:  7*64*128 + 128 = 57,472
@@ -445,4 +455,4 @@ class TestCountParams:
             Dense(256, 256), Swish(),
             Dense(256, 1),
         ])
-        assert count_params(head) == 57_472 + 164_096 + 131_584 + 257
+        assert head.n_params() == 57_472 + 164_096 + 131_584 + 257

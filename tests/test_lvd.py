@@ -25,7 +25,7 @@ from echokit.lvd import (
 from echokit.nn import TrainConfig
 from echokit.synth import LvdDatasetSpec, LvdSceneParams
 
-from oracles import welford
+from oracles import lvd_objective_reference, welford
 
 
 def small_scene(frame_dims=(32, 32)):
@@ -159,6 +159,16 @@ class TestLvdLoss:
         w_p = LossWeights(0.125, 0.5, 0.25)
         assert lvd_loss(pred, target, w) == pytest.approx(lvd_loss(pred_p, target_p, w_p))
 
+    def test_arrays_match_dimension_records(self):
+        rng = np.random.default_rng(5)
+        w = LossWeights(0.5, 0.25, 0.125)
+        pred, target = rng.uniform(2, 20, (4, 3)), rng.uniform(2, 20, (4, 3))
+        records = [LvDimensions(*r) for r in pred], [LvDimensions(*r) for r in target]
+        assert lvd_loss(pred, target, w) == lvd_loss(*records, w)
+        np.testing.assert_array_equal(lvd_loss_grad(pred, target, w), lvd_loss_grad(*records, w))
+        assert lvd_loss(pred[0], target[0], w) == lvd_loss(records[0][0], records[1][0], w)
+        assert lvd_loss_grad(pred[0], target[0], w).shape == (1, 3)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         w = LossWeights(0.5, 0.25, 0.125)
@@ -177,6 +187,28 @@ class TestLvdLoss:
 
 
 class TestLvdObjective:
+    @pytest.mark.parametrize("coord_coef", [0.0, 0.5, 1.0])
+    def test_matches_reference_objective(self, coord_coef):
+        rng = np.random.default_rng(int(coord_coef * 10))
+        scale = np.tile([31.0, 23.0], 4)
+        weights = LossWeights(*rng.uniform(0.05, 2.0, 3))
+        objective = LvdObjective(weights, scale, coord_coef)
+        for trial in range(300):
+            raw = rng.uniform(0.0, 1.0, 8)
+            if trial % 3 == 0:  # one segment, or with trial 0 all three, of zero length
+                m = trial % 9 // 3
+                raw[2 * m + 2 : 2 * m + 4] = raw[2 * m : 2 * m + 2]
+            if trial == 0:
+                raw[:] = np.tile(raw[:2], 4)
+            target = (rng.uniform(0.0, 31.0, (4, 2)), rng.uniform(0.2, 1.5),
+                      rng.uniform(1.0, 30.0, 3))
+            value, grad = objective(raw, target)
+            want, want_grad = lvd_objective_reference(
+                weights.as_array(), scale, coord_coef, raw, target
+            )
+            assert abs(value - want) <= 1e-12 * abs(want)
+            assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         scale = np.tile([15.0, 15.0], 4)
@@ -284,10 +316,10 @@ class TestTrainLvd:
 
     def test_zero_epochs(self):
         model = small_model((32, 32), seed=8)
-        before = model.graph.get_params_flat().copy()
+        before = [p.copy() for p in model.graph.params()]
         model, result = train_lvd(model, self._samples(), TrainConfig(epochs=0, seed=1))
         assert result.history == []
-        np.testing.assert_array_equal(model.graph.get_params_flat(), before)
+        np.testing.assert_equal(model.graph.params(), before)
 
     def test_training_reduces_error_and_reports_weights(self):
         samples = self._samples(n=30)

@@ -3,7 +3,7 @@ import pytest
 
 from echokit import ef, lvd
 from echokit.datasets import build_ef_samples, build_lvd_samples
-from echokit.errors import ConfigurationError, ShapeError
+from echokit.errors import ConfigurationError, DomainError, ShapeError
 from echokit.nn import (
     AdamState,
     Conv1d,
@@ -15,12 +15,14 @@ from echokit.nn import (
     adam_step,
     central_difference,
     finite_diff_grad,
-    mae_loss,
+    fit,
     mae_value_and_grad,
-    mse_loss,
+    make_optimizer,
+    mse_value_and_grad,
     sgd_step,
     value_and_grad,
 )
+from echokit.nn import train as nn_train
 from echokit.nn.gradcheck import batch_loss, check_model_subset
 from echokit.synth import EfDatasetSpec, LvdDatasetSpec, LvdSceneParams
 from oracles import train_loop_reference
@@ -33,6 +35,14 @@ def tiny_model(seed=0):
         GlobalMaxPool1d(),
         Dense(3, 1, rng=rng),
     ])
+
+
+def mae_loss(pred, target):
+    return mae_value_and_grad(pred, target)[0]
+
+
+def mse_loss(pred, target):
+    return mse_value_and_grad(pred, target)[0]
 
 
 class TestLosses:
@@ -250,6 +260,25 @@ class TestFit:
         out = train_loop_reference(ref.graph, pairs, loss,
                                    lambda part: ef.evaluate_mae(ref, part), train, val, config)
         self.assert_same_run(model.graph, result, ref.graph, out)
+
+    def test_non_finite_loss_stops_before_the_optimizer_steps(self, monkeypatch):
+        calls, steps = [], []
+
+        def loss(pred, target):
+            calls.append(pred)
+            return (float("nan") if len(calls) == 2 else 0.0), np.zeros_like(pred)
+
+        def counting_optimizer(config, params):
+            step = make_optimizer(config, params)
+            return lambda grads: (steps.append(1), step(grads))
+
+        monkeypatch.setattr(nn_train, "make_optimizer", counting_optimizer)
+        rng = np.random.default_rng(8)
+        pairs = [(rng.standard_normal((5, 2)), np.array([0.0])) for _ in range(4)]
+        with pytest.raises(DomainError, match="training loss is nan at epoch 0, batch 1"):
+            fit(tiny_model(8), pairs, loss, lambda part: 0.0, pairs, [],
+                TrainConfig(batch_size=1, epochs=2))
+        assert len(steps) == 1
 
     def test_lvd_matches_reference_loop(self):
         samples = build_lvd_samples(LvdDatasetSpec(
