@@ -95,12 +95,6 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def mask_area(mask_frame: np.ndarray) -> int:
-    """Count of 1-pixels in one binary mask frame."""
-    mask_frame = _check_mask(mask_frame)
-    return int(np.count_nonzero(mask_frame))
-
-
 def area_signal(masks: np.ndarray, frame_rate: float) -> AreaSignal:
     """Per-frame mask areas of an (nx, ny, nt) binary mask sequence."""
     masks = _check_mask(masks)
@@ -158,40 +152,53 @@ def _delta_walk(values: np.ndarray, delta: float):
 
 
 def _enforce_constraints(maxima, minima, values, min_separation):
-    """Drop the weaker of same-kind neighbors violating alternation/separation."""
+    """Drop the weaker of same-kind neighbors violating alternation/separation.
+
+    For maxima the lower one is weaker, for minima the higher one, and of
+    two equals the earlier.  The result is that of resolving the leftmost
+    violation one at a time, adjacent same-kind pairs before same-kind
+    pairs closer than *min_separation*.  Each run of same-kind events
+    first collapses to its strongest member.  The pass then pushes events
+    onto a stack whose contents satisfy both constraints, so the only
+    violations are between the next event and the top two: an event that
+    loses is dropped; a stacked event that loses is dropped and the event
+    above it returns to the input.  Every return pays for one removal, so
+    the pass is linear in the number of events.
+    """
+    # Events are (frame, kind, strength); negating minima makes the weaker
+    # event the one with the lower strength for both kinds.
     events = sorted(
-        [(i, 1, values[i]) for i in maxima] + [(i, -1, values[i]) for i in minima]
+        [(i, 1, values[i]) for i in maxima] + [(i, -1, -values[i]) for i in minima]
     )
-
-    def weaker(a, b):
-        # For maxima the lower one loses; for minima the higher one.
-        if a[1] == 1:
-            return a if a[2] <= b[2] else b
-        return a if a[2] >= b[2] else b
-
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(events) - 1):
-            a, b = events[j], events[j + 1]
-            if a[1] == b[1]:
-                # Adjacent same-kind events violate alternation.
-                events.remove(weaker(a, b))
-                changed = True
-                break
-        if changed:
+    runs: list = []
+    for e in events:
+        if runs and runs[-1][1] == e[1]:
+            if runs[-1][2] <= e[2]:
+                runs[-1] = e
+        else:
+            runs.append(e)
+    # Reversed, so the next event is pending[-1].  It alternates throughout:
+    # what returns to it came off the stack in order, ahead of the event
+    # that followed it there.
+    pending = runs[::-1]
+    stack: list = []
+    while pending:
+        e = pending.pop()
+        if stack and stack[-1][1] == e[1]:
+            if not stack[-1][2] <= e[2]:  # not ">": with a NaN the earlier event stays
+                continue
+            stack.pop()
+        if len(stack) >= 2 and e[0] - stack[-2][0] < min_separation:
+            if not stack[-2][2] <= e[2]:
+                continue
+            pending.append(e)
+            pending.append(stack.pop())
+            stack.pop()
             continue
-        # Alternation holds; check separation between same-kind neighbors
-        # (they are now two positions apart in the merged sequence).
-        for j in range(len(events) - 2):
-            a, b = events[j], events[j + 2]
-            if a[1] == b[1] and b[0] - a[0] < min_separation:
-                events.remove(weaker(a, b))
-                changed = True
-                break
+        stack.append(e)
     return (
-        [i for i, kind, _ in events if kind == 1],
-        [i for i, kind, _ in events if kind == -1],
+        [i for i, kind, _ in stack if kind == 1],
+        [i for i, kind, _ in stack if kind == -1],
     )
 
 

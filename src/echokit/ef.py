@@ -247,10 +247,18 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
     video_of: dict[str, str] = {}
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        video_of = {
-            c["clip_path"]: c.get("video_id") for c in manifest.get("clips", [])
-        }
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ConfigurationError(f"{manifest_path}: not valid JSON: {exc}") from None
+        clips = manifest.get("clips", []) if isinstance(manifest, dict) else None
+        if not isinstance(clips, list) or not all(
+            isinstance(c, dict) and "clip_path" in c for c in clips
+        ):
+            raise ConfigurationError(
+                f"{manifest_path}: expected an object whose 'clips' entries each have a clip_path"
+            )
+        video_of = {c["clip_path"]: c.get("video_id") for c in clips}
     samples = []
     with open(labels_path, newline="") as fh:
         reader = csv.DictReader(fh)

@@ -14,7 +14,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import EchokitError
+from .errors import EchokitError, InputNotFoundError
 
 MAGIC = b"CTR1"
 
@@ -67,12 +67,18 @@ def read_tensor_stream(stream: BinaryIO) -> np.ndarray:
         raise TensorFormatError(
             f"truncated payload: expected {nbytes} bytes, {remaining} remain"
         )
-    payload = stream.read(nbytes)
-    if len(payload) != nbytes:
-        raise TensorFormatError(
-            f"truncated payload: expected {nbytes} bytes, got {len(payload)}"
-        )
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    # Read straight into the result: one payload-sized buffer, not two.
+    array = np.empty(shape, dtype=dtype)
+    buffer = memoryview(array.reshape(-1)).cast("B")
+    filled = 0
+    while filled < nbytes:
+        got = stream.readinto(buffer[filled:])
+        if not got:
+            raise TensorFormatError(
+                f"truncated payload: expected {nbytes} bytes, got {filled}"
+            )
+        filled += got
+    return array
 
 
 def _remaining_bytes(stream: BinaryIO) -> int | None:
@@ -100,7 +106,11 @@ def write_tensor(path, array: np.ndarray, single_precision: bool = False) -> Non
 
 def read_tensor(path) -> np.ndarray:
     """Read the single tensor stored at *path*."""
-    with open(path, "rb") as stream:
+    try:
+        stream = open(path, "rb")
+    except FileNotFoundError:
+        raise InputNotFoundError(f"tensor file does not exist: {path}") from None
+    with stream:
         array = read_tensor_stream(stream)
         trailing = stream.read(1)
     if trailing:

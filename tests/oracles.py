@@ -179,6 +179,44 @@ def beat_pairs_scan(maxima, minima):
     return pairs
 
 
+def enforce_constraints_scan(maxima, minima, values, min_separation):
+    """Drop the weaker of same-kind neighbors violating alternation/separation."""
+    events = sorted(
+        [(i, 1, values[i]) for i in maxima] + [(i, -1, values[i]) for i in minima]
+    )
+
+    def weaker(a, b):
+        # For maxima the lower one loses; for minima the higher one.
+        if a[1] == 1:
+            return a if a[2] <= b[2] else b
+        return a if a[2] >= b[2] else b
+
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(events) - 1):
+            a, b = events[j], events[j + 1]
+            if a[1] == b[1]:
+                # Adjacent same-kind events violate alternation.
+                events.remove(weaker(a, b))
+                changed = True
+                break
+        if changed:
+            continue
+        # Alternation holds; check separation between same-kind neighbors
+        # (they are now two positions apart in the merged sequence).
+        for j in range(len(events) - 2):
+            a, b = events[j], events[j + 2]
+            if a[1] == b[1] and b[0] - a[0] < min_separation:
+                events.remove(weaker(a, b))
+                changed = True
+                break
+    return (
+        [i for i, kind, _ in events if kind == 1],
+        [i for i, kind, _ in events if kind == -1],
+    )
+
+
 # Reference copies of the earlier, allocation-heavy forms of the encoder
 # layers.  The package's rewrites must reproduce them bit for bit.
 

@@ -1,6 +1,10 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from echokit import beats
 from echokit.beats import (
     AreaSignal,
     BeatClip,
@@ -9,13 +13,12 @@ from echokit.beats import (
     default_min_separation,
     detect_extrema,
     extract_beats,
-    mask_area,
     moving_average,
 )
 from echokit.errors import ConfigurationError, ValidationError
 from echokit.synth import EfSceneParams, gen_ef_video
 
-from oracles import beat_pairs_scan
+from oracles import beat_pairs_scan, enforce_constraints_scan
 
 
 def rasterize_disk(n, radius):
@@ -25,11 +28,17 @@ def rasterize_disk(n, radius):
 
 
 class TestMaskArea:
+    """area_signal on a one-frame stack is the area of that mask frame."""
+
+    @staticmethod
+    def area(frame):
+        return area_signal(frame[:, :, None], frame_rate=1.0).values[0]
+
     def test_all_zero(self):
-        assert mask_area(np.zeros((4, 4))) == 0
+        assert self.area(np.zeros((4, 4))) == 0
 
     def test_all_ones(self):
-        assert mask_area(np.ones((4, 4))) == 16
+        assert self.area(np.ones((4, 4))) == 16
 
     def test_disk_matches_counting_oracle(self):
         disk = rasterize_disk(32, 5.0)
@@ -38,11 +47,11 @@ class TestMaskArea:
             for y in range(32):
                 if disk[x, y] == 1.0:
                     count += 1
-        assert mask_area(disk) == count
+        assert self.area(disk) == count
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValidationError):
-            mask_area(np.full((3, 3), 0.5))
+            self.area(np.full((3, 3), 0.5))
 
 
 class TestAreaSignal:
@@ -226,3 +235,40 @@ class TestExtractBeatsManyBeats:
         assert [(c.start_frame, c.end_frame) for c in clips] == want
         for clip, (start, end) in zip(clips, want):
             np.testing.assert_array_equal(clip.sub_video, video[:, :, start : end + 1])
+
+
+class TestDetectExtremaLongRecordings:
+    @staticmethod
+    def jittered_areas(n_beats, seed):
+        """Pixel counts of 41-frame beats with a +-20% per-frame area jitter."""
+        rng = np.random.default_rng(seed)
+        phase = 2.0 * np.pi * np.arange(41 * n_beats) / 41
+        areas = 40.0 + 60.0 * (1.0 + np.cos(phase)) / 2.0 + rng.uniform(-12.0, 12.0, phase.size)
+        return np.round(areas)
+
+    def test_matches_scan_on_benchmark_recordings(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench.recording import FRAME_RATE, make_recording
+
+        rng = np.random.default_rng(301)
+        for n_beats in (50, 100, 400):  # 2050, 4100 and 16400 frames
+            signal = area_signal(make_recording(rng, n_beats)[1], FRAME_RATE)
+            got = detect_extrema(signal)
+            with monkeypatch.context() as mp:
+                mp.setattr(beats, "_enforce_constraints", enforce_constraints_scan)
+                want = detect_extrema(signal)
+            assert len(got.maxima) >= n_beats - 1
+            assert (got.maxima, got.minima) == (want.maxima, want.minima)
+
+    def test_cost_is_linear_in_frames(self):
+        # 16 times the frames must cost well under 40 times the time; the
+        # rescanning pass took 243 times as long.  Runs alternate between
+        # the sizes, so both see the same load on a shared host.
+        sizes = self.jittered_areas(50, seed=4), self.jittered_areas(800, seed=4)
+        best = [np.inf, np.inf]
+        for _ in range(5):
+            for k, values in enumerate(sizes):
+                start = time.perf_counter()
+                detect_extrema(values, min_separation=16)
+                best[k] = min(best[k], time.perf_counter() - start)
+        assert best[1] < 40 * best[0]

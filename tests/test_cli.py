@@ -255,6 +255,46 @@ class TestCheckpoint:
         assert_failed_report(tmp_path / "report.json", "InputNotFoundError", "manifest.json")
 
 
+class TestDatasetFaults:
+    @staticmethod
+    def dataset_and_model(tmp_path, kind):
+        data, ck = tmp_path / "data", tmp_path / "ck"
+        if kind == "ef":
+            run(["synth", "ef", "--out-dir", str(data), "--videos", "2",
+                 "--frame-size", "12", "--seed", "5"])
+            model = EfModel.build(EfModelConfig(frame_shape=(12, 12), encoder_dim=8, seed=1))
+        else:
+            run(["synth", "lvd", "--out-dir", str(data), "--frames", "2",
+                 "--frame-size", "16", "--seed", "5"])
+            model = LvdModel.build(
+                LvdModelConfig(frame_shape=(16, 16), channels=(4, 8, 8), hidden=16, seed=1)
+            )
+        checkpoint.save_checkpoint(ck, kind, model.config, model.graph)
+        return data, ck
+
+    @pytest.mark.parametrize("body", ["{", "[]", '{"clips": [{"video_id": "v0"}]}'],
+                             ids=["not_json", "not_object", "no_clip_path"])
+    def test_malformed_manifest_writes_failed_report(self, tmp_path, body):
+        data, ck = self.dataset_and_model(tmp_path, "ef")
+        (data / "manifest.json").write_text(body)
+        out = tmp_path / "report.json"
+        code = run(["eval-ef", "--data", str(data), "--model", str(ck), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "ConfigurationError", "manifest.json")
+
+    @pytest.mark.parametrize("kind", ["ef", "lvd"])
+    def test_missing_sample_file_writes_failed_report(self, tmp_path, kind):
+        data, ck = self.dataset_and_model(tmp_path, kind)
+        with open(data / "labels.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        rel = row["clip_path" if kind == "ef" else "frame_path"]
+        (data / rel).unlink()
+        out = tmp_path / "report.json"
+        code = run([f"eval-{kind}", "--data", str(data), "--model", str(ck), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "InputNotFoundError", rel)
+
+
 class TestExitCodes:
     def test_failed_verdict_exits_nonzero(self, monkeypatch):
         def failing(args):
