@@ -126,8 +126,9 @@ def _delta_walk(values: np.ndarray, delta: float):
     """Alternating extrema via a delta-threshold direction walk.
 
     An extremum is registered only once the signal has moved away from it
-    by at least *delta*, so unconfirmed extrema at the trailing edge are
-    dropped while a crest or trough at the leading edge is kept.  Ties
+    by at least *delta*, and strictly, so unconfirmed extrema at the
+    trailing edge are dropped while a crest or trough at the leading edge
+    is kept.  With *delta* 0 every strict reversal registers.  Ties
     resolve to the first index.
     """
     maxima: list[int] = []
@@ -140,11 +141,11 @@ def _delta_walk(values: np.ndarray, delta: float):
             mx, mx_pos = v, i
         if v < mn:
             mn, mn_pos = v, i
-        if last != "max" and v <= mx - delta:
+        if last != "max" and v <= mx - delta and v < mx:
             maxima.append(mx_pos)
             mn, mn_pos = v, i
             last = "max"
-        elif last != "min" and v >= mn + delta:
+        elif last != "min" and v >= mn + delta and v > mn:
             minima.append(mn_pos)
             mx, mx_pos = v, i
             last = "min"
@@ -212,9 +213,10 @@ def detect_extrema(
 
     *min_prominence* is a fraction of the signal range: an extremum counts
     only if the signal moves away from it by at least that much on the
-    confirmed side.  *min_separation* is the minimum frame distance between
-    same-kind extrema; by default it is derived from the signal's frame
-    rate as roughly half a nominal beat.  *smooth_window* > 1 applies a
+    confirmed side, and strictly (at 0, every strict reversal counts).
+    *min_separation* is the minimum frame distance between same-kind
+    extrema; by default it is derived from the signal's frame rate as
+    roughly half a nominal beat.  *smooth_window* > 1 applies a
     centered moving average before detection (off by default).
 
     A constant signal yields empty lists; that is not an error.
@@ -245,10 +247,7 @@ def detect_extrema(
     if value_range == 0.0:
         return ExtremaList()
 
-    delta = min_prominence * value_range
-    if delta == 0.0:
-        delta = np.finfo(np.float64).tiny  # register every strict reversal
-    maxima, minima = _delta_walk(values, delta)
+    maxima, minima = _delta_walk(values, min_prominence * value_range)
     maxima, minima = _enforce_constraints(maxima, minima, values, min_separation)
     result = ExtremaList(maxima=maxima, minima=minima)
     result.validate(values.size)

@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Subcommands: oracle-check, gradcheck, bench, extract-beats, synth,
-train-ef, eval-ef, train-lvd, eval-lvd.  Every subcommand assembles a
-Report, and main() times it; the human summary goes to stdout, the
-machine report to ``--out``.  The exit code is 0 only if every verdict
-passed; a run stopped by an echokit error still writes a failed report
-naming the error, and exits 2.  Runs are deterministic for fixed flags
+train-ef, eval-ef, train-lvd, eval-lvd.  Every subcommand returns a
+Report of metrics and verdicts; main() times it and records the parsed
+command line as its config, so replaying the config reproduces the
+report.  The human summary goes to stdout, the machine report to
+``--out``.  The exit code is 0 only if every verdict passed; a run
+stopped by an echokit error still writes a failed report naming the
+error, and exits 2.  Runs are deterministic for fixed flags
 and seed (timing fields aside).
 """
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import beats, checkpoint, convops, datasets, ef, lvd, synth, tensorio
 from .nn import TrainConfig
-from .errors import EchokitError, InputNotFoundError, ShapeError
+from .errors import EchokitError, ShapeError
 from .nn.gradcheck import DEFAULT_EPSILON, LAYER_KINDS, check_layer_kind, check_model_subset
 from .report import Report
 
@@ -82,13 +84,8 @@ def run_oracle_trials(trials: int, max_dim: int, max_kernel: int, seed: int):
 def cmd_oracle_check(args) -> Report:
     worst, control = run_oracle_trials(args.trials, args.max_dim, args.max_kernel, args.seed)
     return Report(
-        subcommand="oracle-check",
-        config={
-            "trials": args.trials, "max_dim": args.max_dim,
-            "max_kernel": args.max_kernel, "seed": args.seed,
-            "tolerance": ORACLE_TOLERANCE,
-        },
-        metrics={"max_rel_err": worst, "control_rel_err": control},
+        metrics={"max_rel_err": worst, "control_rel_err": control,
+                 "tolerance": ORACLE_TOLERANCE},
         verdicts={
             "factorization_equivalence": worst <= ORACLE_TOLERANCE,
             "control_detects_mismatch": control > 1e-6,
@@ -139,17 +136,10 @@ def run_bench(video_dims, kernel_dims, repeats: int, padding: str, seed: int) ->
 
 
 def cmd_bench(args) -> Report:
-    video_dims = tuple(args.video_dims)
-    kernel_dims = tuple(args.kernel_dims)
-    m = run_bench(video_dims, kernel_dims, args.repeats, args.padding, args.seed)
+    m = run_bench(tuple(args.video_dims), tuple(args.kernel_dims), args.repeats,
+                  args.padding, args.seed)
     m["wall_ratio_ge_2"] = bool(m["wall_ratio"] >= 2.0)  # recorded, not asserted
     return Report(
-        subcommand="bench",
-        config={
-            "video_dims": list(video_dims), "kernel_dims": list(kernel_dims),
-            "repeats": args.repeats, "padding": args.padding,
-            "seed": args.seed,
-        },
         metrics=m,
         verdicts={
             "count_full_matches_model": m["count_full"] == m["flop_model_full"],
@@ -199,20 +189,13 @@ def cmd_gradcheck(args) -> Report:
         name.replace("rel_err_", "grad_"): value <= GRAD_TOLERANCE
         for name, value in metrics.items()
     }
-    return Report(
-        subcommand="gradcheck",
-        config={
-            "seed": args.seed, "instances": args.instances,
-            "tolerance": GRAD_TOLERANCE, "epsilon": DEFAULT_EPSILON,
-        },
-        metrics=metrics,
-        verdicts=verdicts,
-    )
+    metrics.update(tolerance=GRAD_TOLERANCE, epsilon=DEFAULT_EPSILON)
+    return Report(metrics=metrics, verdicts=verdicts)
 
 
 def cmd_extract_beats(args) -> Report:
-    video = tensorio.read_tensor(_existing(args.video))
-    masks = tensorio.read_tensor(_existing(args.masks))
+    video = tensorio.read_tensor(args.video)
+    masks = tensorio.read_tensor(args.masks)
     if video.shape != masks.shape:
         raise ShapeError(f"video {video.shape} and masks {masks.shape} differ in shape")
     signal = beats.area_signal(masks, frame_rate=args.frame_rate)
@@ -241,14 +224,6 @@ def cmd_extract_beats(args) -> Report:
         )
     (out_dir / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
     return Report(
-        subcommand="extract-beats",
-        config={
-            "video": str(args.video), "masks": str(args.masks),
-            "out_dir": str(args.out_dir), "frame_rate": args.frame_rate,
-            "min_separation": args.min_separation,
-            "min_prominence": args.min_prominence,
-            "smooth_window": args.smooth_window, "seed": args.seed,
-        },
         metrics={
             "n_clips": len(clips),
             "n_maxima": len(extrema.maxima),
@@ -259,7 +234,7 @@ def cmd_extract_beats(args) -> Report:
 
 
 def cmd_synth(args) -> Report:
-    if args.frame_size is None:
+    if args.frame_size is None:  # resolved here, so the report's config names it
         args.frame_size = 16 if args.kind == "ef" else 64
     if args.kind == "ef":
         spec = synth.EfDatasetSpec(
@@ -279,15 +254,7 @@ def cmd_synth(args) -> Report:
         )
         manifest = datasets.write_lvd_dataset(args.out_dir, spec)
         metrics = {"n_frames": manifest["n_frames"]}
-    return Report(
-        subcommand="synth",
-        config={
-            "kind": args.kind, "out_dir": str(args.out_dir), "seed": args.seed,
-            "frame_size": args.frame_size,
-        },
-        metrics=metrics,
-        verdicts={"completed": True},
-    )
+    return Report(metrics=metrics, verdicts={"completed": True})
 
 
 def _train_config(args) -> TrainConfig:
@@ -302,7 +269,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train_ef(args) -> Report:
-    samples = ef.load_ef_dataset(_existing(args.data))
+    samples = ef.load_ef_dataset(args.data)
     frame_shape = samples[0].clip.sub_video.shape[:2]
     model = ef.EfModel.build(
         ef.EfModelConfig(
@@ -314,8 +281,9 @@ def cmd_train_ef(args) -> Report:
     )
     config = _train_config(args)
     model, result = ef.train_ef(model, samples, config)
-    train, val = ef.split_dataset(samples, seed=config.seed)
-    baseline = ef.baseline_mae(val or samples, constant=float(np.mean(ef.video_truths(train))))
+    baseline = ef.baseline_mae(
+        result.val, constant=float(np.mean(ef.video_truths(result.train)))
+    )
     if args.out_dir:
         checkpoint.save_checkpoint(
             args.out_dir, "ef", model.config, model.graph,
@@ -326,14 +294,6 @@ def cmd_train_ef(args) -> Report:
             },
         )
     return Report(
-        subcommand="train-ef",
-        config={
-            "data": str(args.data), "out_dir": str(args.out_dir or ""),
-            "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
-            "seed": args.seed, "padding": args.padding,
-            "encoder_dim": args.encoder_dim, "optimizer": args.optimizer,
-            "loss": args.loss,
-        },
         metrics={
             "n_samples": len(samples),
             "n_params": model.graph.n_params(),
@@ -347,32 +307,25 @@ def cmd_train_ef(args) -> Report:
 
 
 def cmd_eval_ef(args) -> Report:
-    model, _ = checkpoint.load_ef_model(_existing(args.model))
-    samples = ef.load_ef_dataset(_existing(args.data))
+    model, _ = checkpoint.load_ef_model(args.model)
+    samples = ef.load_ef_dataset(args.data)
     mae = ef.evaluate_mae(model, samples)
     baseline = ef.baseline_mae(samples)
     return Report(
-        subcommand="eval-ef",
-        config={
-            "data": str(args.data), "model": str(args.model),
-            "seed": args.seed,
-        },
         metrics={"mae": mae, "baseline_mae": baseline, "n_samples": len(samples)},
         verdicts={"completed": True},
     )
 
 
 def cmd_train_lvd(args) -> Report:
-    samples = lvd.load_lvd_dataset(_existing(args.data))
+    samples = lvd.load_lvd_dataset(args.data)
     frame_shape = samples[0].frame.shape
     model = lvd.LvdModel.build(
         lvd.LvdModelConfig(frame_shape=frame_shape, seed=args.seed)
     )
     config = _train_config(args)
     model, result = lvd.train_lvd(model, samples, config, coord_coef=args.coord_coef)
-    _, val = lvd.split_samples(samples, seed=config.seed)
-    val = val or samples
-    baseline = lvd.constant_baseline_mae(val)
+    baseline = lvd.constant_baseline_mae(result.val)
     weights = result.weights.as_array().tolist() if result.weights else None
     if args.out_dir:
         checkpoint.save_checkpoint(
@@ -386,13 +339,6 @@ def cmd_train_lvd(args) -> Report:
             },
         )
     return Report(
-        subcommand="train-lvd",
-        config={
-            "data": str(args.data), "out_dir": str(args.out_dir or ""),
-            "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
-            "seed": args.seed, "coord_coef": args.coord_coef,
-            "optimizer": args.optimizer,
-        },
         metrics={
             "n_samples": len(samples),
             "n_params": model.graph.n_params(),
@@ -407,29 +353,14 @@ def cmd_train_lvd(args) -> Report:
 
 
 def cmd_eval_lvd(args) -> Report:
-    model, manifest = checkpoint.load_lvd_model(_existing(args.model))
-    samples = lvd.load_lvd_dataset(_existing(args.data))
+    model, manifest = checkpoint.load_lvd_model(args.model)
+    samples = lvd.load_lvd_dataset(args.data)
     evaluation = lvd.evaluate_lvd(model, samples)
     baseline = lvd.constant_baseline_mae(samples)
     metrics = evaluation.as_dict()
     metrics["baseline_mae_mean"] = baseline.mean_mae
     metrics["loss_weights"] = manifest.get("extra", {}).get("loss_weights")
-    return Report(
-        subcommand="eval-lvd",
-        config={
-            "data": str(args.data), "model": str(args.model),
-            "seed": args.seed,
-        },
-        metrics=metrics,
-        verdicts={"completed": True},
-    )
-
-
-def _existing(path) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise InputNotFoundError(f"input path does not exist: {p}")
-    return p
+    return Report(metrics=metrics, verdicts={"completed": True})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,7 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; exit 0 if every verdict passed, 1 if one failed,
-    and 2 if the run stopped on an echokit error (its report says which)."""
+    and 2 if the run stopped on an echokit error (its report says which).
+
+    Every report, failed or not, carries the subcommand and, as its
+    config, every parsed flag but ``--out``."""
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
@@ -536,12 +470,14 @@ def main(argv=None) -> int:
         code = 0 if report.passed else 1
     except EchokitError as exc:
         report = Report(
-            subcommand=args.subcommand,
-            config={"argv": list(sys.argv[1:] if argv is None else argv)},
             metrics={"error": type(exc).__name__, "message": str(exc)},
             verdicts={"completed": False},
         )
         code = 2
+    report.subcommand = args.subcommand
+    report.config = {
+        k: v for k, v in vars(args).items() if k not in ("fn", "out", "subcommand")
+    }
     report.wall_clock_ms = (time.perf_counter() - started) * 1e3
     for line in report.summary_lines():
         print(line)

@@ -155,12 +155,6 @@ class EfModel:
         return float(raw[0]) * OUTPUT_SCALE
 
 
-def encode_frames(model: EfModel, clip: BeatClip | np.ndarray) -> np.ndarray:
-    """Per-frame feature vectors, shape (T, D); frames do not interact."""
-    encoder: FrameEncoder = model.graph.layers[0]
-    return encoder.forward(model.prepare_input(clip), {})
-
-
 def predict_ef(model: EfModel, clip: BeatClip | np.ndarray) -> float:
     """EF estimate in percent for one clip."""
     value = model.predict(clip)

@@ -187,6 +187,8 @@ class TrainResult:
     best_epoch: int = -1
     best_val_mae: float = float("nan")
     weights: object = None  # loss weights derived from the training split, if any
+    train: list = field(default_factory=list)  # the items trained on
+    val: list = field(default_factory=list)  # the items validated on
 
 
 def fit(graph: ModelGraph, pairs, loss, evaluate, train, val, config: TrainConfig) -> TrainResult:
@@ -195,14 +197,15 @@ def fit(graph: ModelGraph, pairs, loss, evaluate, train, val, config: TrainConfi
     *pairs* are the (input, target) pairs of the *train* items and *loss*
     is what value_and_grad takes.  After each epoch, *evaluate* maps an
     item list to its MAE, for *train* and for *val* (*train* when *val* is
-    empty).  The seed fixes the batch order.  With epochs=0 the graph is
-    unchanged and the history is empty.  A non-finite batch loss raises
-    DomainError before the optimizer steps on its gradients.
+    empty); the result keeps both lists.  The seed fixes the batch order.
+    With epochs=0 the graph is unchanged and the history is empty.  A
+    non-finite batch loss raises DomainError before the optimizer steps on
+    its gradients.
     """
     val = val or train
     rng = np.random.default_rng(config.seed + 1)
     step = make_optimizer(config, graph.params())
-    result = TrainResult()
+    result = TrainResult(train=train, val=val)
     best_params = None
     for epoch in range(config.epochs):
         order = rng.permutation(len(pairs))

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import PurePath
 
 VOLATILE_PREFIX = "wall_"
 
 
 def jsonable(value):
-    """Recursively coerce numpy scalars/arrays to plain Python values."""
+    """Recursively coerce numpy scalars/arrays and paths to plain Python values."""
+    if isinstance(value, PurePath):
+        return str(value)
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -30,7 +33,7 @@ def jsonable(value):
 
 @dataclass
 class Report:
-    subcommand: str
+    subcommand: str = ""
     config: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)

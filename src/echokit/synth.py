@@ -7,8 +7,9 @@ gen_ef_video() renders a pulsating ellipse whose area follows
 so the clip starts at diastole (crest) and every beat spans P frames.
 Masks are exact rasterizations and the generator emits its own per-frame
 pixel counts.  The EF ground truth uses the isotropic-shape convention
-volume ~ area^(3/2), giving EF = 100 * (1 - (A_min/A_max)^(3/2)) in
-closed form; the frame rate is set so one beat lasts a nominal 0.8 s.
+volume ~ area^(3/2): the label is ef.compute_ef of the volumes
+A_max^(3/2) and A_min^(3/2), 100 * (1 - (A_min/A_max)^(3/2)) in closed
+form; the frame rate is set so one beat lasts a nominal 0.8 s.
 
 gen_lvd_frame() renders three parallel bands (septum, cavity, posterior
 wall) at a sampled rotation and center; the four keypoints sit exactly at
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beats import ExtremaList
+from .ef import VolumePair, compute_ef
 from .errors import ConfigurationError
 from .lvd import Calibration, KeypointSet, LvDimensions, dimensions_from_keypoints
 
@@ -75,11 +77,6 @@ class EfScene:
     params: EfSceneParams
 
 
-def ef_from_area_ratio(min_over_max: float) -> float:
-    """EF percent under the volume ~ area^(3/2) convention."""
-    return 100.0 * (1.0 - min_over_max**1.5)
-
-
 def gen_ef_video(params: EfSceneParams) -> EfScene:
     """Render a pulsating-ellipse video with exact masks and EF label."""
     nx, ny = params.frame_dims
@@ -125,7 +122,7 @@ def gen_ef_video(params: EfSceneParams) -> EfScene:
             maxima=[k * period for k in range(params.n_beats)],
             minima=[int(np.floor((k + 0.5) * period)) for k in range(params.n_beats)],
         )
-        ef_true = ef_from_area_ratio(a_min / a_max)
+        ef_true = compute_ef(VolumePair(edv=a_max**1.5, esv=a_min**1.5))
 
     return EfScene(
         video=video,

@@ -109,6 +109,20 @@ class TestDetectExtrema:
         extrema = detect_extrema(np.ones(10), min_separation=2)
         assert extrema.maxima == [] and extrema.minima == []
 
+    @pytest.mark.parametrize("prominence", [0.0, 1e-300])
+    def test_zero_prominence_registers_only_strict_reversals(self, prominence):
+        # A plateau is no reversal: frame 0 is the only extremum, not both kinds.
+        extrema = detect_extrema(np.array([-1.0, 0.0, 0.0]), min_separation=1,
+                                 min_prominence=prominence)
+        assert (extrema.maxima, extrema.minima) == ([], [0])
+
+    @pytest.mark.parametrize("prominence", [0.0, 1e-300])
+    @pytest.mark.parametrize("shift", [0.0, 10.0])
+    def test_zero_prominence_invariant_to_shift(self, prominence, shift):
+        values = np.array([0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 2.0]) + shift
+        extrema = detect_extrema(values, min_separation=1, min_prominence=prominence)
+        assert (extrema.maxima, extrema.minima) == ([1], [0, 3])
+
     def test_alternation_and_separation_on_noisy_beats(self):
         rng = np.random.default_rng(0)
         t = np.arange(120)

