@@ -6,11 +6,18 @@ the training config) and ``params.ctr`` holding one CTR1 record per
 parameter array in layer order.  Loading rebuilds the model from the
 manifest's config and checks it against the manifest's layers before any
 parameter is read.
+
+Saving is atomic: both files are written into a hidden sibling directory
+that then takes the checkpoint's place, so a save that fails part-way
+leaves any earlier checkpoint as it was, and the two files are never
+from different saves.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import asdict, fields
 from itertools import zip_longest
 from pathlib import Path
@@ -24,8 +31,18 @@ FORMAT = "echokit-checkpoint-v1"
 
 def save_checkpoint(path, model_kind: str, model_config, graph: ModelGraph,
                     extra: dict | None = None) -> Path:
+    """Write a checkpoint directory at *path*, replacing any checkpoint there.
+
+    An existing *path* must be a directory holding nothing but checkpoint
+    files, since the whole directory is replaced.
+    """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    if path.exists() and (not path.is_dir() or {e.name for e in path.iterdir()}
+                          - {"manifest.json", "params.ctr"}):
+        raise ConfigurationError(
+            f"{path} is not a checkpoint directory (it holds more than manifest.json "
+            "and params.ctr); refusing to replace it"
+        )
     manifest = {
         "format": FORMAT,
         "model_kind": model_kind,
@@ -33,10 +50,21 @@ def save_checkpoint(path, model_kind: str, model_config, graph: ModelGraph,
         "layers": _layer_specs(graph),
         "extra": extra or {},
     }
-    (path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    with open(path / "params.ctr", "wb") as fh:
-        for p in graph.params():
-            write_tensor_stream(fh, p)
+    staging = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    staging.mkdir(parents=True)
+    try:
+        (staging / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        with open(staging / "params.ctr", "wb") as fh:
+            for p in graph.params():
+                write_tensor_stream(fh, p)
+        retired = staging.with_name(staging.name + ".old")
+        if path.exists():
+            os.rename(path, retired)
+        os.rename(staging, path)
+        shutil.rmtree(retired, ignore_errors=True)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return path
 
 
@@ -54,7 +82,7 @@ def load_manifest(path) -> dict:
         raise InputNotFoundError(f"missing checkpoint manifest: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigurationError(f"{manifest_path}: not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
         raise ConfigurationError(f"{manifest_path}: not an {FORMAT} manifest")

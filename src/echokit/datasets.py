@@ -9,12 +9,15 @@ of the consuming model (``clip_path,ef_percent`` for EF,
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
 from .beats import area_signal, detect_extrema, extract_beats
 from .ef import EF_LABEL_HEADER, EfSample
+from .errors import ConfigurationError, InputNotFoundError
 from .lvd import LVD_LABEL_HEADER, LvdSample
 from .synth import (
     EfDatasetSpec,
@@ -106,6 +109,56 @@ def write_lvd_dataset(out_dir, spec: LvdDatasetSpec) -> dict:
     _write_labels(out_dir / "labels.csv", LVD_LABEL_HEADER, rows)
     _write_manifest(out_dir / "manifest.json", manifest)
     return manifest
+
+
+def read_labels(path: Path, header, numeric) -> list[dict]:
+    """The rows of a ``labels.csv`` with *header*, as dicts.
+
+    The fields named in *numeric* become floats.  Blank lines are skipped.
+    A missing file raises InputNotFoundError; bytes that are not UTF-8, a
+    field the csv module rejects, a different header, a row without
+    exactly one value per column, a value in a *numeric* field that is not
+    a finite number, or no rows at all raise ConfigurationError naming the
+    file and, for a row, its line.
+    """
+    if not path.exists():
+        raise InputNotFoundError(f"missing labels file: {path}")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        records = [(reader.line_num, values) for values in reader]
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ConfigurationError(f"{path}, line {reader.line_num}: {exc}") from None
+    found = records[0][1] if records else None
+    if found != header:
+        raise ConfigurationError(f"{path}: expected header {header}, got {found}")
+    rows = []
+    for line, values in records[1:]:
+        if not values:
+            continue
+        where = f"{path}, line {line}"
+        if len(values) != len(header):
+            raise ConfigurationError(
+                f"{where}: expected {len(header)} values, got {len(values)}"
+            )
+        row = dict(zip(header, values))
+        for name in numeric:
+            value = row[name]
+            try:
+                row[name] = float(value)
+            except ValueError:
+                raise ConfigurationError(f"{where}: {name}={value!r} is not a number") from None
+            if not math.isfinite(row[name]):
+                raise ConfigurationError(f"{where}: {name}={value!r} is not finite")
+        rows.append(row)
+    if not rows:
+        raise ConfigurationError(f"{path}: no rows")
+    return rows
 
 
 def _write_labels(path: Path, header, rows) -> None:

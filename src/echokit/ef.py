@@ -13,14 +13,13 @@ averaged per video before the absolute error.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .beats import BeatClip
-from .errors import ConfigurationError, DomainError, InputNotFoundError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError
 from .nn import (
     Conv1d,
     Dense,
@@ -232,12 +231,11 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
     """
     import json
 
+    from .datasets import read_labels
     from .tensorio import read_tensor
 
     data_dir = Path(data_dir)
-    labels_path = data_dir / "labels.csv"
-    if not labels_path.exists():
-        raise InputNotFoundError(f"missing labels file: {labels_path}")
+    rows = read_labels(data_dir / "labels.csv", EF_LABEL_HEADER, numeric=("ef_percent",))
     video_of: dict[str, str] = {}
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():
@@ -254,23 +252,15 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
             )
         video_of = {c["clip_path"]: c.get("video_id") for c in clips}
     samples = []
-    with open(labels_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != EF_LABEL_HEADER:
-            raise ConfigurationError(
-                f"{labels_path}: expected header {EF_LABEL_HEADER}, got {reader.fieldnames}"
+    for row in rows:
+        video = read_tensor(data_dir / row["clip_path"])
+        clip = BeatClip(0, video.shape[2] - 1, video)
+        samples.append(
+            EfSample(
+                clip=clip,
+                ef_true=row["ef_percent"],
+                video_id=video_of.get(row["clip_path"]),
             )
-        for row in reader:
-            video = read_tensor(data_dir / row["clip_path"])
-            clip = BeatClip(0, video.shape[2] - 1, video)
-            samples.append(
-                EfSample(
-                    clip=clip,
-                    ef_true=float(row["ef_percent"]),
-                    video_id=video_of.get(row["clip_path"]),
-                )
-            )
-    if not samples:
-        raise ConfigurationError(f"{labels_path}: no rows")
+        )
     return samples
 

@@ -18,13 +18,12 @@ Coordinates are (row, col) pixel positions in the frame array.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InputNotFoundError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError
 from .nn import (
     Dense,
     DepthwiseSeparable2d,
@@ -392,31 +391,20 @@ def load_lvd_dataset(data_dir) -> list[LvdSample]:
     ``frame_path,x1,y1,...,x4,y4,mm_per_pixel``; paths are relative to the
     directory.
     """
+    from .datasets import read_labels
     from .tensorio import read_tensor
 
     data_dir = Path(data_dir)
-    labels_path = data_dir / "labels.csv"
-    if not labels_path.exists():
-        raise InputNotFoundError(f"missing labels file: {labels_path}")
     samples = []
-    with open(labels_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != LVD_LABEL_HEADER:
-            raise ConfigurationError(
-                f"{labels_path}: expected header {LVD_LABEL_HEADER}, got {reader.fieldnames}"
+    for row in read_labels(data_dir / "labels.csv", LVD_LABEL_HEADER,
+                           numeric=LVD_LABEL_HEADER[1:]):
+        frame = read_tensor(data_dir / row["frame_path"])
+        points = np.array([[row[f"x{i}"], row[f"y{i}"]] for i in range(1, 5)])
+        samples.append(
+            LvdSample(
+                frame=frame,
+                keypoints=KeypointSet(points=points),
+                mm_per_pixel=row["mm_per_pixel"],
             )
-        for row in reader:
-            frame = read_tensor(data_dir / row["frame_path"])
-            points = np.array(
-                [[float(row[f"x{i}"]), float(row[f"y{i}"])] for i in range(1, 5)]
-            )
-            samples.append(
-                LvdSample(
-                    frame=frame,
-                    keypoints=KeypointSet(points=points),
-                    mm_per_pixel=float(row["mm_per_pixel"]),
-                )
-            )
-    if not samples:
-        raise ConfigurationError(f"{labels_path}: no rows")
+        )
     return samples

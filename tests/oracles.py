@@ -217,6 +217,34 @@ def enforce_constraints_scan(maxima, minima, values, min_separation):
     )
 
 
+# The convolution core as it was before it swept the output in slabs: one
+# full-array pass and one full-size temporary per tap.  The package's
+# slab sweep must reproduce it bit for bit.
+
+
+def sliding_accumulate_reference(padded, kernel_flat, offsets, out_shape, counter):
+    """Sum kernel-tap-scaled shifted views of a padded array.
+
+    The summation order is the fixed row-major tap order, so results are
+    deterministic.  Counts one multiply per tap per output element and one
+    add per tap per output element after the first tap.
+    """
+    out = None
+    for value, offset in zip(kernel_flat, offsets):
+        window = padded[
+            tuple(slice(o, o + n) for o, n in zip(offset, out_shape))
+        ]
+        if out is None:
+            out = value * window
+        else:
+            out += value * window
+    n_out = int(np.prod(out_shape))
+    taps = len(kernel_flat)
+    if counter is not None:
+        counter.add(multiplies=taps * n_out, adds=(taps - 1) * n_out)
+    return out
+
+
 # Reference copies of the earlier, allocation-heavy forms of the encoder
 # layers.  The package's rewrites must reproduce them bit for bit.
 

@@ -199,6 +199,64 @@ class TestCheckpoint:
         frame = np.random.default_rng(4).uniform(0, 1, (16, 16))
         np.testing.assert_array_equal(loaded.predict_raw(frame), model.predict_raw(frame))
 
+    @staticmethod
+    def ef_model(seed):
+        return EfModel.build(EfModelConfig(frame_shape=(8, 8), encoder_dim=8, seed=seed))
+
+    def test_overwrite_replaces_checkpoint_and_leaves_nothing_else(self, tmp_path):
+        old, new = self.ef_model(1), self.ef_model(2)
+        checkpoint.save_checkpoint(tmp_path / "ck", "ef", old.config, old.graph)
+        checkpoint.save_checkpoint(tmp_path / "ck", "ef", new.config, new.graph)
+        loaded, _ = checkpoint.load_ef_model(tmp_path / "ck")
+        clip = np.random.default_rng(2).uniform(0, 1, (8, 8, 5))
+        assert loaded.predict(clip) == new.predict(clip)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json",
+                                                                       "params.ctr"]
+
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+        old, new = self.ef_model(1), self.ef_model(2)
+        ck = checkpoint.save_checkpoint(tmp_path / "ck", "ef", old.config, old.graph)
+        before = {p.name: p.read_bytes() for p in ck.iterdir()}
+        write = checkpoint.write_tensor_stream
+        calls = []
+
+        def fail_on_third(fh, array):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            write(fh, array)
+
+        monkeypatch.setattr(checkpoint, "write_tensor_stream", fail_on_third)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint.save_checkpoint(ck, "ef", new.config, new.graph, extra={"run": 2})
+        assert {p.name: p.read_bytes() for p in ck.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+        loaded, _ = checkpoint.load_ef_model(ck)
+        clip = np.random.default_rng(2).uniform(0, 1, (8, 8, 5))
+        assert loaded.predict(clip) == old.predict(clip)
+
+    def test_directory_with_other_files_not_replaced(self, tmp_path):
+        (tmp_path / "ck").mkdir()
+        (tmp_path / "ck" / "notes.txt").write_text("keep")
+        model = self.ef_model(1)
+        with pytest.raises(ConfigurationError, match="not a checkpoint directory"):
+            checkpoint.save_checkpoint(tmp_path / "ck", "ef", model.config, model.graph)
+        assert [p.name for p in (tmp_path / "ck").iterdir()] == ["notes.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+    def test_non_utf8_manifest_writes_failed_report(self, tmp_path):
+        data = tmp_path / "data"
+        run(["synth", "ef", "--out-dir", str(data), "--videos", "2",
+             "--frame-size", "8", "--seed", "5"])
+        model = self.ef_model(1)
+        ck = checkpoint.save_checkpoint(tmp_path / "ck", "ef", model.config, model.graph)
+        (ck / "manifest.json").write_bytes(b"\xff\xfe{")
+        out = tmp_path / "report.json"
+        code = run(["eval-ef", "--data", str(data), "--model", str(ck), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "ConfigurationError", "manifest.json")
+
     def test_kind_mismatch_rejected(self, tmp_path):
         model = EfModel.build(EfModelConfig(frame_shape=(8, 8), encoder_dim=8, seed=1))
         checkpoint.save_checkpoint(tmp_path / "ck", "ef", model.config, model.graph)
@@ -281,6 +339,34 @@ class TestDatasetFaults:
         code = run(["eval-ef", "--data", str(data), "--model", str(ck), "--out", str(out)])
         assert code == 2
         assert_failed_report(out, "ConfigurationError", "manifest.json")
+
+    @pytest.mark.parametrize("fault", ["non_numeric", "non_finite", "short_row", "non_utf8",
+                                       "oversized_field"])
+    @pytest.mark.parametrize("kind", ["ef", "lvd"])
+    def test_malformed_labels_write_failed_report(self, tmp_path, kind, fault):
+        # The fault is in the second row, line 3; field 1 is ef_percent or x1.
+        data, ck = self.dataset_and_model(tmp_path, kind)
+        labels = data / "labels.csv"
+        header, first, second, *rest = labels.read_bytes().splitlines(keepends=True)
+        values = second.rstrip(b"\r\n").split(b",")
+        if fault == "non_numeric":
+            values[1] = b"abc"
+        elif fault == "non_finite":
+            values[1] = b"nan"
+        elif fault == "short_row":
+            values.pop()
+        elif fault == "oversized_field":
+            values[0] = b"x" * (csv.field_size_limit() + 1)
+        else:
+            values[0] = b"\xff\xfe" + values[0]
+        labels.write_bytes(b"".join([header, first, b",".join(values) + b"\r\n", *rest]))
+        out = tmp_path / "report.json"
+        code = run([f"eval-{kind}", "--data", str(data), "--model", str(ck), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "ConfigurationError", f"{labels}, line 3")
+        if fault in ("non_numeric", "non_finite"):
+            field = "ef_percent" if kind == "ef" else "x1"
+            assert f"{field}='{values[1].decode()}'" in read_report(out).metrics["message"]
 
     @pytest.mark.parametrize("kind", ["ef", "lvd"])
     def test_missing_sample_file_writes_failed_report(self, tmp_path, kind):

@@ -15,7 +15,13 @@ from echokit.convops import (
 from echokit.errors import ConfigurationError, ShapeError, ValidationError
 from echokit.nn import DepthwiseSeparable2d
 
-from oracles import conv1d_loops, conv2d_loops, conv3d_loops, depthwise_separable_loops
+from oracles import (
+    conv1d_loops,
+    conv2d_loops,
+    conv3d_loops,
+    depthwise_separable_loops,
+    sliding_accumulate_reference,
+)
 
 
 def delta_kernel(shape):
@@ -162,6 +168,87 @@ class TestConvFactored:
         assert c_full.multiplies == 343 * n
         assert c_fact.multiplies == 56 * n
         assert c_full.multiplies * 56 == c_fact.multiplies * 343
+
+
+# Each form with a kernel five rows tall, so it spans several slabs.
+SLAB_OPS = {
+    "spatial": (conv_spatial, (5, 3)),
+    "temporal": (conv_temporal, (3,)),
+    "full": (conv3d_full, (5, 3, 3)),
+}
+
+
+def reference_and_swept(monkeypatch, op, video, kernel, padding, slab_bytes=None):
+    """Outputs and counters of *op* through the unblocked reference and
+    through the slab sweep; *slab_bytes* of None keeps SLAB_BYTES."""
+    with monkeypatch.context() as m:
+        m.setattr(convops, "_sliding_accumulate", sliding_accumulate_reference)
+        ref_counter = OpCounter()
+        expected = op(video, kernel, padding, ref_counter)
+    if slab_bytes is not None:
+        monkeypatch.setattr(convops, "SLAB_BYTES", slab_bytes(expected[0].nbytes))
+    counter = OpCounter()
+    got = op(video, kernel, padding, counter)
+    return expected, ref_counter, got, counter
+
+
+def assert_same_bytes(expected, ref_counter, got, counter):
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert (counter.multiplies, counter.adds) == (ref_counter.multiplies, ref_counter.adds)
+
+
+class TestSlabSweep:
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("name", sorted(SLAB_OPS))
+    @pytest.mark.parametrize("slab_rows", [2, 3])
+    def test_matches_unblocked_reference(self, monkeypatch, name, padding, slab_rows):
+        # 11 output rows in "same" and 7 in "valid" for the 5-row kernels:
+        # several slabs, a shorter last one, and a kernel taller than a slab.
+        op, kernel_dims = SLAB_OPS[name]
+        rng = np.random.default_rng(21)
+        video = rng.standard_normal((11, 6, 9))
+        result = reference_and_swept(monkeypatch, op, video, rng.standard_normal(kernel_dims),
+                                     padding, lambda row: slab_rows * row)
+        rows = result[0].shape[0]
+        assert rows > slab_rows and rows % slab_rows
+        assert_same_bytes(*result)
+
+    @pytest.mark.parametrize("name", sorted(SLAB_OPS))
+    def test_slab_below_one_row_takes_one_row(self, monkeypatch, name):
+        op, kernel_dims = SLAB_OPS[name]
+        rng = np.random.default_rng(22)
+        video = rng.standard_normal((7, 4, 5))
+        assert_same_bytes(*reference_and_swept(
+            monkeypatch, op, video, rng.standard_normal(kernel_dims), "same", lambda row: 1))
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("name", sorted(SLAB_OPS))
+    def test_one_row_output(self, monkeypatch, name, padding):
+        op, kernel_dims = SLAB_OPS[name]
+        rng = np.random.default_rng(23)
+        nx = 1 if padding == "same" or name == "temporal" else kernel_dims[0]
+        video = rng.standard_normal((nx, 6, 9))
+        result = reference_and_swept(monkeypatch, op, video, rng.standard_normal(kernel_dims),
+                                     padding, lambda row: 2 * row)
+        assert result[0].shape[0] == 1
+        assert_same_bytes(*result)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_default_slab_size_on_a_multi_slab_video(self, monkeypatch, padding):
+        rng = np.random.default_rng(24)
+        video = rng.standard_normal((50, 64, 64))
+        assert video.nbytes > 2 * convops.SLAB_BYTES
+        sep = SeparableKernel(rng.standard_normal((3, 3)), rng.standard_normal(3))
+        assert_same_bytes(*reference_and_swept(monkeypatch, conv_factored, video, sep, padding))
+        assert_same_bytes(*reference_and_swept(
+            monkeypatch, conv3d_full, video, kron_kernel(sep), padding))
+
+    @pytest.mark.parametrize("name", sorted(SLAB_OPS))
+    def test_empty_kernel_rejected(self, name):
+        op, kernel_dims = SLAB_OPS[name]
+        with pytest.raises(ShapeError, match=">= 1"):
+            op(np.ones((4, 4, 4)), np.ones((0, *kernel_dims[1:])), "valid")
 
 
 def depthwise_separable(x, depthwise, pointwise):
