@@ -194,7 +194,7 @@ def cmd_gradcheck(args) -> Report:
 
 
 def cmd_extract_beats(args) -> Report:
-    video = tensorio.read_tensor(args.video)
+    video = tensorio.read_finite_tensor(args.video)
     masks = tensorio.read_tensor(args.masks)
     if video.shape != masks.shape:
         raise ShapeError(f"video {video.shape} and masks {masks.shape} differ in shape")

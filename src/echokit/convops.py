@@ -10,9 +10,10 @@ conv_factored():    spatial followed by temporal convolution for a
                     separable (Kronecker-factorizable) kernel,
 kron_kernel():      expand a separable kernel into its dense 3D form,
 flop_model():       closed-form multiply counts for full/factored modes,
-pad_spatial(), depthwise_nd(): the zero padding and per-channel spatial
-                    convolution inside nn.DepthwiseSeparable2d, the one
-                    implementation of the depthwise-separable convolution.
+sliding_accumulate(): the tap loop of the three convolutions, which
+                    nn.DepthwiseSeparable2d also runs for its per-channel
+                    spatial convolution and for its input gradient,
+pad_spatial():      the zero padding of that layer's (..., H, W, C) input.
 
 All convolutions are cross-correlations (no kernel flip), the usual
 deep-learning convention.  Padding is either "same" (zero fill, odd kernel
@@ -24,8 +25,8 @@ For a kernel of shape (mx, my, mt) the full convolution costs mx*my*mt
 multiplies per output element, while the factored form costs only
 (mx*my) + mt.
 
-conv3d_full(), conv_spatial() and conv_temporal() share one core,
-_sliding_accumulate(), which adds one tap-scaled shifted view of the
+Every convolution here and in nn.DepthwiseSeparable2d runs on one core,
+sliding_accumulate(), which adds one weight-scaled shifted view of the
 padded input per kernel tap.  Memory traffic, not multiplies, sets its
 time, so it sweeps the output in slabs of whole rows along the first
 axis and applies every tap to one slab before it moves to the next: the
@@ -38,13 +39,14 @@ on such a Xeon, with a 7x7x7 kernel on a 64^3 and a 112x112x64 video,
 256-384 KB were fastest for both stages, 384 KB by a little; smaller
 slabs pay more per-slab Python work, and from 512 KB up the working set
 crowds L2.  Each output element still sums the same products in the
-same row-major tap order as one full-array pass per tap, so the outputs
-are bit for bit the same, and so are the op counts.
+same tap order as one full-array pass per tap, so the outputs are bit
+for bit the same, and so are the op counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from .errors import ConfigurationError, ShapeError, ValidationError
 
 PADDINGS = ("same", "valid")
 
-# Most output bytes per slab in _sliding_accumulate; see the module docstring.
+# Most output bytes per slab in sliding_accumulate; see the module docstring.
 SLAB_BYTES = 384 * 1024
 
 
@@ -147,36 +149,41 @@ def kron_kernel(sep: SeparableKernel) -> np.ndarray:
     return sep.spatial[:, :, None] * sep.temporal[None, None, :]
 
 
-def _sliding_accumulate(padded, kernel_flat, offsets, out_shape, counter):
-    """Sum kernel-tap-scaled shifted views of a padded array, slab by slab.
+@lru_cache(maxsize=256)
+def _window_indices(offsets, out_shape):
+    """Each tap's window index, offsets[t] to offsets[t] + out_shape; cached, as slice()
+    for every axis of every tap costs more than a small layer's arithmetic."""
+    return tuple(tuple(slice(o, o + n) for o, n in zip(offset, out_shape)) for offset in offsets)
 
-    A slab is at most SLAB_BYTES of whole output rows (one row if a row is
-    larger).  Every tap is applied to a slab before the next one starts:
-    the first tap is written into the slab, each later one is added
-    through one reused scratch buffer.  Each output element sums its
-    products in the fixed row-major tap order, so results are
-    deterministic and bit for bit those of one full-array pass per tap.
-    Counts one multiply per tap per output element and one add per tap
-    per output element after the first tap.
+
+def sliding_accumulate(padded, weights, offsets, out_shape, counter=None):
+    """Sum weight-scaled shifted views of a padded array, slab by slab.
+
+    Tap t adds weights[t] * padded[offsets[t] : offsets[t] + out_shape]
+    for a tuple of ints offsets[t] and a scalar or an array weights[t]
+    that broadcasts against an output row, such as DepthwiseSeparable2d's
+    (W, C) rows.  A slab is at most SLAB_BYTES of whole output rows (one
+    row if a row is larger).  Every tap is applied to a slab before the
+    next one starts: the first tap is written into the slab, each later
+    one is added through one reused scratch buffer.  Each output element
+    sums its products in the fixed tap order, so results are deterministic
+    and bit for bit those of one full-array pass per tap.  Counts one
+    multiply per tap per output element and one add per tap per output
+    element after the first tap.
     """
-    rows, *rest = out_shape
     out = np.empty(out_shape)
     height = max(1, SLAB_BYTES // out[0].nbytes)
-    scratch = np.empty_like(out[:height])
-    for start in range(0, rows, height):
-        stop = min(start + height, rows)
-        slab, term = out[start:stop], scratch[: stop - start]
-        for tap, (value, (i, *offset)) in enumerate(zip(kernel_flat, offsets)):
-            window = padded[
-                (slice(start + i, stop + i),
-                 *(slice(o, o + n) for o, n in zip(offset, rest)))
-            ]
-            if tap == 0:
-                np.multiply(value, window, out=slab)
-            else:
-                slab += np.multiply(value, window, out=term)
-    taps = len(kernel_flat)
+    scratch = np.empty(out[:height].shape)
+    offsets = tuple(offsets)
+    for start in range(0, out_shape[0], height):
+        slab = out[start : start + height]
+        term, block = scratch[: len(slab)], padded[start:]
+        indices = _window_indices(offsets, slab.shape)
+        np.multiply(weights[0], block[indices[0]], out=slab)
+        for value, index in zip(weights[1:], indices[1:]):
+            slab += np.multiply(value, block[index], out=term)
     if counter is not None:
+        taps = len(offsets)
         counter.add(multiplies=taps * out.size, adds=(taps - 1) * out.size)
     return out
 
@@ -212,7 +219,7 @@ def conv3d_full(
         out_shape = tuple(n - m + 1 for n, m in zip(video.shape, kernel.shape))
 
     offsets = [(i, j, k) for i in range(mx) for j in range(my) for k in range(mt)]
-    return _sliding_accumulate(padded, kernel.ravel(), offsets, out_shape, counter)
+    return sliding_accumulate(padded, kernel.ravel(), offsets, out_shape, counter)
 
 
 def conv_spatial(
@@ -244,7 +251,7 @@ def conv_spatial(
         out_shape = (video.shape[0] - mx + 1, video.shape[1] - my + 1, video.shape[2])
 
     offsets = [(i, j, 0) for i in range(mx) for j in range(my)]
-    return _sliding_accumulate(padded, spatial.ravel(), offsets, out_shape, counter)
+    return sliding_accumulate(padded, spatial.ravel(), offsets, out_shape, counter)
 
 
 def conv_temporal(
@@ -275,7 +282,7 @@ def conv_temporal(
         out_shape = (features.shape[0], features.shape[1], features.shape[2] - mt + 1)
 
     offsets = [(0, 0, k) for k in range(mt)]
-    return _sliding_accumulate(padded, temporal, offsets, out_shape, counter)
+    return sliding_accumulate(padded, temporal, offsets, out_shape, counter)
 
 
 def conv_factored(
@@ -299,31 +306,6 @@ def pad_spatial(x: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
     *lead, h, w, c = x.shape
     out = np.zeros((*lead, h + 2 * pad_h, w + 2 * pad_w, c), dtype=x.dtype)
     out[..., pad_h : pad_h + h, pad_w : pad_w + w, :] = x
-    return out
-
-
-def depthwise_nd(padded: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Per-channel "valid" spatial convolution of an (..., H, W, C) array.
-
-    Leading axes are treated as batch dims; kernels has shape (C, kh, kw),
-    and callers wanting "same" output zero-pad first with pad_spatial.
-    Taps are summed in row-major order into one output through one
-    scratch buffer, so no temporary is allocated per tap.  Each tap's
-    weights are repeated across a row, so a window row and its weights
-    are both contiguous (out_w * C values) and numpy multiplies whole
-    rows instead of C values at a time.
-    """
-    kh, kw = kernels.shape[1:]
-    out_h, out_w = padded.shape[-3] - kh + 1, padded.shape[-2] - kw + 1
-    rows = np.repeat(kernels.transpose(1, 2, 0)[:, :, None, :], out_w, axis=2)
-    out = padded[..., :out_h, :out_w, :] * rows[0, 0]
-    term = np.empty_like(out)
-    for i in range(kh):
-        for j in range(kw):
-            if i == 0 and j == 0:
-                continue
-            window = padded[..., i : i + out_h, j : j + out_w, :]
-            out += np.multiply(window, rows[i, j], out=term)
     return out
 
 

@@ -13,51 +13,35 @@ import io
 import json
 import math
 from dataclasses import asdict
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from .beats import area_signal, detect_extrema, extract_beats
 from .ef import EF_LABEL_HEADER, EfSample
 from .errors import ConfigurationError, InputNotFoundError
 from .lvd import LVD_LABEL_HEADER, LvdSample
-from .synth import (
-    EfDatasetSpec,
-    EfScene,
-    LvdDatasetSpec,
-    LvdScene,
-    generate_ef_scenes,
-    generate_lvd_scenes,
-)
+from .synth import EfDatasetSpec, LvdDatasetSpec, generate_ef_scenes, generate_lvd_scenes
 from .tensorio import write_tensor
 
 
-def ef_samples_from_scene(scene: EfScene, video_id: str) -> list[EfSample]:
-    """Beat clips of one video via the detection pipeline, labeled with its EF."""
-    signal = area_signal(scene.masks, scene.frame_rate)
-    extrema = detect_extrema(signal)
-    clips = extract_beats(scene.video, extrema)
-    return [EfSample(clip=c, ef_true=scene.ef_true, video_id=video_id) for c in clips]
-
-
 def build_ef_samples(spec: EfDatasetSpec) -> list[EfSample]:
+    """Beat clips of each video via the detection pipeline, labeled with its EF."""
     samples = []
     for i, scene in enumerate(generate_ef_scenes(spec)):
-        samples.extend(ef_samples_from_scene(scene, video_id=f"video_{i:04d}"))
+        extrema = detect_extrema(area_signal(scene.masks, scene.frame_rate))
+        samples.extend(
+            EfSample(clip=c, ef_true=scene.ef_true, video_id=f"video_{i:04d}")
+            for c in extract_beats(scene.video, extrema)
+        )
     return samples
 
 
-def lvd_samples_from_scenes(scenes: list[LvdScene]) -> list[LvdSample]:
-    return [
-        LvdSample(
-            frame=s.frame,
-            keypoints=s.keypoints,
-            mm_per_pixel=s.params.mm_per_pixel,
-        )
-        for s in scenes
-    ]
-
-
 def build_lvd_samples(spec: LvdDatasetSpec) -> list[LvdSample]:
-    return lvd_samples_from_scenes(generate_lvd_scenes(spec))
+    return [
+        LvdSample(frame=s.frame, keypoints=s.keypoints, mm_per_pixel=s.params.mm_per_pixel)
+        for s in generate_lvd_scenes(spec)
+    ]
 
 
 def write_ef_dataset(out_dir, spec: EfDatasetSpec) -> dict:
@@ -66,9 +50,8 @@ def write_ef_dataset(out_dir, spec: EfDatasetSpec) -> dict:
     (out_dir / "clips").mkdir(parents=True, exist_ok=True)
     rows = []
     clip_meta = []
-    for i, scene in enumerate(generate_ef_scenes(spec)):
-        video_id = f"video_{i:04d}"
-        for j, sample in enumerate(ef_samples_from_scene(scene, video_id)):
+    for video_id, samples in groupby(build_ef_samples(spec), key=attrgetter("video_id")):
+        for j, sample in enumerate(samples):
             rel = f"clips/{video_id}_beat{j}.ctr"
             write_tensor(out_dir / rel, sample.clip.sub_video)
             rows.append({"clip_path": rel, "ef_percent": repr(sample.ef_true)})
@@ -97,13 +80,13 @@ def write_lvd_dataset(out_dir, spec: LvdDatasetSpec) -> dict:
     out_dir = Path(out_dir)
     (out_dir / "frames").mkdir(parents=True, exist_ok=True)
     rows = []
-    for i, scene in enumerate(generate_lvd_scenes(spec)):
+    for i, sample in enumerate(build_lvd_samples(spec)):
         rel = f"frames/frame_{i:04d}.ctr"
-        write_tensor(out_dir / rel, scene.frame)
-        row = {"frame_path": rel, "mm_per_pixel": repr(scene.params.mm_per_pixel)}
+        write_tensor(out_dir / rel, sample.frame)
+        row = {"frame_path": rel, "mm_per_pixel": repr(sample.mm_per_pixel)}
         for k in range(4):
-            row[f"x{k + 1}"] = repr(float(scene.keypoints.points[k, 0]))
-            row[f"y{k + 1}"] = repr(float(scene.keypoints.points[k, 1]))
+            row[f"x{k + 1}"] = repr(float(sample.keypoints.points[k, 0]))
+            row[f"y{k + 1}"] = repr(float(sample.keypoints.points[k, 1]))
         rows.append(row)
     manifest = {"kind": "lvd", "spec": asdict(spec), "n_frames": len(rows)}
     _write_labels(out_dir / "labels.csv", LVD_LABEL_HEADER, rows)

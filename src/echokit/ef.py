@@ -232,7 +232,7 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
     import json
 
     from .datasets import read_labels
-    from .tensorio import read_tensor
+    from .tensorio import read_finite_tensor
 
     data_dir = Path(data_dir)
     rows = read_labels(data_dir / "labels.csv", EF_LABEL_HEADER, numeric=("ef_percent",))
@@ -253,7 +253,7 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
         video_of = {c["clip_path"]: c.get("video_id") for c in clips}
     samples = []
     for row in rows:
-        video = read_tensor(data_dir / row["clip_path"])
+        video = read_finite_tensor(data_dir / row["clip_path"])
         clip = BeatClip(0, video.shape[2] - 1, video)
         samples.append(
             EfSample(

@@ -392,13 +392,13 @@ def load_lvd_dataset(data_dir) -> list[LvdSample]:
     directory.
     """
     from .datasets import read_labels
-    from .tensorio import read_tensor
+    from .tensorio import read_finite_tensor
 
     data_dir = Path(data_dir)
     samples = []
     for row in read_labels(data_dir / "labels.csv", LVD_LABEL_HEADER,
                            numeric=LVD_LABEL_HEADER[1:]):
-        frame = read_tensor(data_dir / row["frame_path"])
+        frame = read_finite_tensor(data_dir / row["frame_path"])
         points = np.array([[row[f"x{i}"], row[f"y{i}"]] for i in range(1, 5)])
         samples.append(
             LvdSample(

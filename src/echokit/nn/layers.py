@@ -18,13 +18,19 @@ extra copies: ``MaxPool2d`` keeps its four strided window views of the
 input and its output, and its backward recovers first-in-window argmax
 routing from them; ``Swish`` keeps its sigmoid and its output, not its
 input.
+
+``DepthwiseSeparable2d`` runs on ``convops.sliding_accumulate`` in both passes; its
+input gradient gathers with the flipped kernel in a scatter's tap order, and
+``+= 0.0`` gives the scatter's +0.0 where every term was -0.0.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from ..convops import depthwise_nd, pad_spatial
+from ..convops import pad_spatial, sliding_accumulate
 from ..errors import ShapeError
 
 
@@ -226,6 +232,13 @@ class GlobalMaxPool1d(Layer):
         return dx
 
 
+@lru_cache(maxsize=None)
+def _tap_offsets(ndim, k):
+    """Offsets of a k x k kernel's taps, row-major, in a rank-ndim (..., H, W, C) array."""
+    lead = (0,) * (ndim - 3)
+    return tuple((*lead, i, j, 0) for i in range(k) for j in range(k))
+
+
 class DepthwiseSeparable2d(Layer):
     """Per-channel spatial convolution followed by a 1x1 channel mix.
 
@@ -261,9 +274,9 @@ class DepthwiseSeparable2d(Layer):
             raise ShapeError(
                 f"expected (..., H, W, {self.depthwise.shape[0]}) input, got {x.shape}"
             )
-        pad = self.depthwise.shape[1] // 2
-        xp = pad_spatial(x, pad, pad)
-        mid = depthwise_nd(xp, self.depthwise)
+        k = self.depthwise.shape[1]
+        xp = pad_spatial(x, k // 2, k // 2)
+        mid = sliding_accumulate(xp, *self._taps(x.shape), x.shape)
         out = mid.reshape(-1, mid.shape[-1]) @ self.pointwise
         out += self.b
         cache["xp"], cache["mid"] = xp, mid
@@ -271,6 +284,12 @@ class DepthwiseSeparable2d(Layer):
 
     def backward(self, dout, cache):
         """Input gradient; accumulates the three parameter gradients.
+
+        The input gradient is a gather: tap (i, j), in row-major order, reads
+        ``pad_spatial(dmid, k // 2, k // 2)`` at (k-1-i, k-1-j), so each element
+        sums the nonzero products of a scatter of dmid * w[i, j] into a zeroed
+        gradient, in its order, and padding adds only +-0.0.  ``+= 0.0`` turns
+        a sum of only -0.0 terms, -0.0, into the scatter's +0.0.
 
         Each tap's depthwise-weight gradient is the per-channel dot
         product that ``np.einsum("...c,...c->c", window, dmid,
@@ -292,16 +311,21 @@ class DepthwiseSeparable2d(Layer):
         window = np.empty((c_in, *mid.shape[:-1]))
         window_cols = window.reshape(c_in, -1, 1)
         dot = np.empty((c_in, 1, 1))
-        weight_rows = np.repeat(self.depthwise.transpose(1, 2, 0)[:, :, None, :], w, axis=2)
-        dxp = np.zeros_like(xp)
-        term = np.empty_like(dmid)
         for i in range(k):
             for j in range(k):
                 np.copyto(window, x_first[..., i : i + h, j : j + w])
                 self.d_depthwise[:, i, j] += np.matmul(dmid_rows, window_cols, out=dot)[:, 0, 0]
-                dxp[..., i : i + h, j : j + w, :] += np.multiply(dmid, weight_rows[i, j], out=term)
-        pad = k // 2
-        return dxp[..., pad : pad + h, pad : pad + w, :]
+        rows, offsets = self._taps(mid.shape)
+        dx = sliding_accumulate(pad_spatial(dmid, k // 2, k // 2), rows, offsets[::-1], mid.shape)
+        dx += 0.0
+        return dx
+
+    def _taps(self, shape):
+        """Row-major taps for sliding_accumulate into *shape*: per-channel
+        weights repeated across a (W, C) row, so numpy multiplies whole
+        contiguous rows, and offsets, which reversed flip the kernel."""
+        rows = self.depthwise.reshape(len(self.depthwise), -1).T[:, None, :]
+        return rows.repeat(shape[-2], axis=1), _tap_offsets(len(shape), self.depthwise.shape[1])
 
 
 class MaxPool2d(Layer):

@@ -14,7 +14,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import EchokitError, InputNotFoundError
+from .errors import EchokitError, InputNotFoundError, ValidationError
 
 MAGIC = b"CTR1"
 
@@ -115,4 +115,13 @@ def read_tensor(path) -> np.ndarray:
         trailing = stream.read(1)
     if trailing:
         raise TensorFormatError(f"{path}: trailing bytes after tensor record")
+    return array
+
+
+def read_finite_tensor(path) -> np.ndarray:
+    """read_tensor() for a video, clip or frame to compute on: a NaN or
+    infinite value raises ValidationError naming the file."""
+    array = read_tensor(path)
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{path}: holds NaN or infinite values")
     return array

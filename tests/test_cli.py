@@ -10,7 +10,7 @@ from echokit.errors import ConfigurationError, ShapeError
 from echokit.lvd import LvdModel, LvdModelConfig
 from echokit.report import Report, jsonable
 from echokit.synth import EfSceneParams, gen_ef_video
-from echokit.tensorio import write_tensor
+from echokit.tensorio import read_tensor, write_tensor
 
 
 def run(argv):
@@ -105,6 +105,24 @@ class TestExtractBeats:
                     "--out", str(tmp_path / "report.json")])
         assert code == 2
         assert_failed_report(tmp_path / "report.json", "ShapeError", "differ in shape")
+
+    def test_non_finite_video_writes_failed_report(self, tmp_path):
+        scene = gen_ef_video(
+            EfSceneParams(frame_dims=(24, 24), n_beats=2, base_area=0.12,
+                          pulsatility=0.2, seed=3)
+        )
+        video = scene.video.copy()
+        video[5, 7, 10] = np.nan
+        video_path, masks_path = tmp_path / "v.ctr", tmp_path / "m.ctr"
+        write_tensor(video_path, video)
+        write_tensor(masks_path, scene.masks)
+        out_dir = tmp_path / "clips"
+        code = run(["extract-beats", "--video", str(video_path), "--masks", str(masks_path),
+                    "--out-dir", str(out_dir), "--frame-rate", str(scene.frame_rate),
+                    "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert_failed_report(tmp_path / "report.json", "ValidationError", f"{video_path}: holds NaN")
+        assert not out_dir.exists()
 
     def test_missing_input_exits(self, tmp_path):
         code = run(["extract-beats", "--video", str(tmp_path / "nope.ctr"),
@@ -379,6 +397,20 @@ class TestDatasetFaults:
         code = run([f"eval-{kind}", "--data", str(data), "--model", str(ck), "--out", str(out)])
         assert code == 2
         assert_failed_report(out, "InputNotFoundError", rel)
+
+    @pytest.mark.parametrize("kind, value", [("ef", np.nan), ("lvd", np.inf)])
+    def test_non_finite_sample_writes_failed_report(self, tmp_path, kind, value):
+        data, _ = self.dataset_and_model(tmp_path, kind)
+        with open(data / "labels.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        path = data / row["clip_path" if kind == "ef" else "frame_path"]
+        array = read_tensor(path)
+        array[1, 2] = value
+        write_tensor(path, array)
+        out = tmp_path / "report.json"
+        code = run([f"train-{kind}", "--data", str(data), "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "ValidationError", f"{path}: ")
 
 
 class TestExitCodes:

@@ -182,7 +182,7 @@ def reference_and_swept(monkeypatch, op, video, kernel, padding, slab_bytes=None
     """Outputs and counters of *op* through the unblocked reference and
     through the slab sweep; *slab_bytes* of None keeps SLAB_BYTES."""
     with monkeypatch.context() as m:
-        m.setattr(convops, "_sliding_accumulate", sliding_accumulate_reference)
+        m.setattr(convops, "sliding_accumulate", sliding_accumulate_reference)
         ref_counter = OpCounter()
         expected = op(video, kernel, padding, ref_counter)
     if slab_bytes is not None:

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from echokit import ef, lvd
-from echokit.convops import depthwise_nd, pad_spatial
+from echokit import convops, ef, lvd
+from echokit.convops import pad_spatial, sliding_accumulate
 from echokit.errors import ShapeError
 from echokit.nn import (
     Conv1d,
@@ -281,22 +283,34 @@ class TestReferenceBitIdentity:
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_depthwise_nd(self, padding):
-        """For "same", pad_spatial then depthwise_nd, as DepthwiseSeparable2d does."""
+        """The convolution core with one (W, C) row of per-channel weights
+        per tap is the depthwise convolution; for "same", on pad_spatial's
+        output, as DepthwiseSeparable2d runs it."""
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 3, 9, 7, 4))
         kernels = rng.standard_normal((4, 3, 5))
         padded = pad_spatial(x, 1, 2) if padding == "same" else x
+        want = depthwise_nd_reference(x, kernels, padding)
+        width = want.shape[-2]
+        rows = np.repeat(kernels.transpose(1, 2, 0)[:, :, None, :], width, axis=2)
+        offsets = [(0, 0, i, j, 0) for i in range(3) for j in range(5)]
         assert_bits_equal(
-            depthwise_nd(padded, kernels), depthwise_nd_reference(x, kernels, padding)
+            sliding_accumulate(padded, rows.reshape(15, width, 4), offsets, want.shape), want
         )
 
-    @pytest.mark.parametrize("shape", [(5, 16, 16, 1), (3, 8, 8, 6), (9, 7, 3)])
-    def test_depthwise_separable_forward_and_backward(self, shape):
+    @staticmethod
+    def _check_depthwise_separable(shape, signed_zeros=False):
         rng = np.random.default_rng(shape[0])
         x = rng.standard_normal(shape)
         layer = DepthwiseSeparable2d(shape[-1], 5, 3, rng=rng)
         layer.b[...] = rng.standard_normal(5)
         dout = rng.standard_normal((*shape[:-1], 5))
+        if signed_zeros:
+            # Channel 0's taps all negative and dout zero in image rows 2-4:
+            # in image row 3, channel 0's input gradient sums only
+            # +0.0 * (negative weight) = -0.0 terms.
+            layer.depthwise[0] = -np.abs(layer.depthwise[0])
+            dout[..., 2:5, :, :] = 0.0
         cache, ref_cache = {}, {}
         got = layer.forward(x, cache)
         want = depthwise_separable2d_forward_reference(
@@ -311,6 +325,24 @@ class TestReferenceBitIdentity:
         assert_bits_equal(dx, depthwise_separable2d_backward_reference(layer, dout, ref_cache))
         for g, g_ref in zip(grads, layer.grads()):
             assert_bits_equal(g, g_ref)
+
+    @pytest.mark.parametrize("shape, signed_zeros", [
+        ((5, 16, 16, 1), False),
+        ((3, 8, 8, 6), False),
+        ((9, 7, 3), False),
+        ((4, 8, 8, 2), True),
+    ], ids=["shape0", "shape1", "shape2", "signed_zeros"])
+    def test_depthwise_separable_forward_and_backward(self, shape, signed_zeros):
+        self._check_depthwise_separable(shape, signed_zeros)
+
+    @pytest.mark.parametrize("slab_rows", [2, 3])
+    @pytest.mark.parametrize("shape", [(7, 6, 3), (5, 6, 6, 2)], ids=["rank3", "rank4"])
+    def test_depthwise_separable_across_slabs(self, monkeypatch, shape, slab_rows):
+        """Slabs of image rows, which the taps offset (rank 3, as in LVD),
+        or of frames (rank 4, as in EF), with a shorter last slab."""
+        assert shape[0] > slab_rows and shape[0] % slab_rows
+        monkeypatch.setattr(convops, "SLAB_BYTES", slab_rows * 8 * math.prod(shape[1:]))
+        self._check_depthwise_separable(shape, signed_zeros=True)
 
     @pytest.mark.parametrize("shape", [(4, 8, 6, 3), (2, 3, 5, 7, 2), (6, 6, 1)])
     def test_max_pool_forward_and_backward(self, shape):
