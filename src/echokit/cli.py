@@ -24,7 +24,7 @@ import numpy as np
 
 from . import beats, checkpoint, convops, datasets, ef, lvd, synth, tensorio
 from .nn import TrainConfig
-from .errors import EchokitError, ShapeError
+from .errors import ConfigurationError, EchokitError, ShapeError
 from .nn.gradcheck import DEFAULT_EPSILON, LAYER_KINDS, check_layer_kind, check_model_subset
 from .report import Report
 
@@ -49,6 +49,10 @@ def run_oracle_trials(trials: int, max_dim: int, max_kernel: int, seed: int):
     Returns the worst relative error and the error of a deliberately
     non-separable control kernel (which must NOT match).
     """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if not 1 <= max_kernel <= max_dim:
+        raise ConfigurationError(f"need 1 <= max_kernel <= max_dim, got {max_kernel}, {max_dim}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -103,6 +107,8 @@ def _median_ms(fn, repeats: int) -> float:
 
 
 def run_bench(video_dims, kernel_dims, repeats: int, padding: str, seed: int) -> dict:
+    if repeats < 1:
+        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
     video = rng.standard_normal(tuple(video_dims))
     sep = convops.SeparableKernel(

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .beats import BeatClip
+from .convops import check_padding
 from .errors import ConfigurationError, DomainError, ShapeError
 from .nn import (
     Conv1d,
@@ -87,8 +88,7 @@ class EfModelConfig:
     def __post_init__(self):
         if self.encoder_dim < 4:
             raise ConfigurationError(f"encoder_dim must be >= 4, got {self.encoder_dim}")
-        if self.padding not in ("same", "valid"):
-            raise ConfigurationError(f"padding must be 'same' or 'valid', got {self.padding!r}")
+        check_padding(self.padding, EfModel.HEAD_KERNELS)
 
     @property
     def encoder_channels(self) -> tuple[int, int, int]:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..convops import pad_spatial, sliding_accumulate
+from ..convops import check_padding, sliding_accumulate, zero_pad
 from ..errors import ShapeError
 
 
@@ -127,10 +127,7 @@ class Conv1d(Layer):
 
     def __init__(self, c_in: int, filters: int, kernel_size: int,
                  padding: str = "same", rng: np.random.Generator | None = None):
-        if padding not in ("same", "valid"):
-            raise ShapeError(f"unknown padding {padding!r}")
-        if padding == "same" and kernel_size % 2 == 0:
-            raise ShapeError("'same' padding requires an odd kernel size")
+        check_padding(padding, (kernel_size,))
         rng = rng or np.random.default_rng(0)
         self.padding = padding
         self.k = kernel_size
@@ -156,8 +153,7 @@ class Conv1d(Layer):
             )
         t = x.shape[0]
         if self.padding == "same":
-            pad = self.k // 2
-            xp = np.pad(x, ((pad, pad), (0, 0)))
+            xp = zero_pad(x, (self.k // 2, 0))
             t_out = t
         else:
             if t < self.k:
@@ -251,8 +247,7 @@ class DepthwiseSeparable2d(Layer):
 
     def __init__(self, c_in: int, c_out: int, kernel_size: int = 3,
                  rng: np.random.Generator | None = None):
-        if kernel_size % 2 == 0:
-            raise ShapeError("'same' padding requires an odd kernel size")
+        check_padding("same", (kernel_size,))
         rng = rng or np.random.default_rng(0)
         k2 = kernel_size * kernel_size
         self.depthwise = glorot_uniform(rng, k2, k2, (c_in, kernel_size, kernel_size))
@@ -275,7 +270,7 @@ class DepthwiseSeparable2d(Layer):
                 f"expected (..., H, W, {self.depthwise.shape[0]}) input, got {x.shape}"
             )
         k = self.depthwise.shape[1]
-        xp = pad_spatial(x, k // 2, k // 2)
+        xp = zero_pad(x, (k // 2, k // 2, 0))
         mid = sliding_accumulate(xp, *self._taps(x.shape), x.shape)
         out = mid.reshape(-1, mid.shape[-1]) @ self.pointwise
         out += self.b
@@ -286,7 +281,7 @@ class DepthwiseSeparable2d(Layer):
         """Input gradient; accumulates the three parameter gradients.
 
         The input gradient is a gather: tap (i, j), in row-major order, reads
-        ``pad_spatial(dmid, k // 2, k // 2)`` at (k-1-i, k-1-j), so each element
+        ``zero_pad(dmid, (k // 2, k // 2, 0))`` at (k-1-i, k-1-j), so each element
         sums the nonzero products of a scatter of dmid * w[i, j] into a zeroed
         gradient, in its order, and padding adds only +-0.0.  ``+= 0.0`` turns
         a sum of only -0.0 terms, -0.0, into the scatter's +0.0.
@@ -316,7 +311,8 @@ class DepthwiseSeparable2d(Layer):
                 np.copyto(window, x_first[..., i : i + h, j : j + w])
                 self.d_depthwise[:, i, j] += np.matmul(dmid_rows, window_cols, out=dot)[:, 0, 0]
         rows, offsets = self._taps(mid.shape)
-        dx = sliding_accumulate(pad_spatial(dmid, k // 2, k // 2), rows, offsets[::-1], mid.shape)
+        dmid_padded = zero_pad(dmid, (k // 2, k // 2, 0))
+        dx = sliding_accumulate(dmid_padded, rows, offsets[::-1], mid.shape)
         dx += 0.0
         return dx
 

@@ -21,7 +21,7 @@ Equal seeds give bit-identical tensors and labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -244,6 +244,10 @@ class EfDatasetSpec:
     noise_amplitude: float = 0.03
     seed: int = 42
 
+    def __post_init__(self):
+        if self.n_videos < 1:
+            raise ConfigurationError(f"n_videos must be >= 1, got {self.n_videos}")
+
 
 def sample_ef_scene_params(spec: EfDatasetSpec, rng: np.random.Generator) -> EfSceneParams:
     return EfSceneParams(
@@ -270,21 +274,14 @@ class LvdDatasetSpec:
     scene: LvdSceneParams = field(default_factory=LvdSceneParams)
     seed: int = 42
 
+    def __post_init__(self):
+        if self.n_frames < 1:
+            raise ConfigurationError(f"n_frames must be >= 1, got {self.n_frames}")
+
 
 def generate_lvd_scenes(spec: LvdDatasetSpec) -> list[LvdScene]:
     rng = np.random.default_rng(spec.seed)
-    scenes = []
-    for _ in range(spec.n_frames):
-        params = LvdSceneParams(
-            frame_dims=spec.scene.frame_dims,
-            ivs_range=spec.scene.ivs_range,
-            wall_range=spec.scene.wall_range,
-            cavity_range=spec.scene.cavity_range,
-            rotation_range=spec.scene.rotation_range,
-            center_jitter=spec.scene.center_jitter,
-            noise_amplitude=spec.scene.noise_amplitude,
-            mm_per_pixel=spec.scene.mm_per_pixel,
-            seed=int(rng.integers(2**31)),
-        )
-        scenes.append(gen_lvd_frame(params))
-    return scenes
+    return [
+        gen_lvd_frame(replace(spec.scene, seed=int(rng.integers(2**31))))
+        for _ in range(spec.n_frames)
+    ]

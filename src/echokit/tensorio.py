@@ -91,15 +91,9 @@ def _remaining_bytes(stream: BinaryIO) -> int | None:
     return end - position
 
 
-def write_tensor(path, array: np.ndarray, single_precision: bool = False) -> None:
-    """Write one tensor to *path*.
-
-    Storage is float64 unless the array is already float32 or
-    *single_precision* is set; single precision is a file-size option only.
-    """
+def write_tensor(path, array: np.ndarray) -> None:
+    """Write one tensor to *path*: float32 arrays as float32, all else as float64."""
     array = np.asarray(array)
-    if single_precision:
-        array = array.astype(np.float32)
     with open(path, "wb") as stream:
         write_tensor_stream(stream, array)
 

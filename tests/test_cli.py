@@ -63,6 +63,21 @@ class TestBench:
         assert report.metrics["count_factored"] == 12 * 16**3
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle-check", "--max-kernel", "0"], "max_kernel"),
+        (["oracle-check", "--max-dim", "2", "--max-kernel", "3"], "max_kernel"),
+        (["oracle-check", "--trials", "0"], "trials"),
+        (["bench", "--video-dims", "8", "8", "8", "--kernel-dims", "3", "3", "3",
+          "--repeats", "0"], "repeats"),
+    ], ids=["oracle_max_kernel_0", "oracle_kernel_above_dim", "oracle_trials_0",
+            "bench_repeats_0"])
+    def test_out_of_range_value_writes_failed_report(self, tmp_path, argv, message):
+        out = tmp_path / "report.json"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert_failed_report(out, "ConfigurationError", message)
+
+
 class TestGradcheckCommand:
     def test_passes_quickly_with_few_instances(self, tmp_path):
         out = tmp_path / "grad.json"
@@ -155,6 +170,15 @@ class TestSynthCommand:
         assert len(rows) == 4
         assert list(rows[0]) == ["frame_path", "x1", "y1", "x2", "y2", "x3", "y3",
                                  "x4", "y4", "mm_per_pixel"]
+
+    @pytest.mark.parametrize("kind, flag, message", [
+        ("ef", "--videos", "n_videos"), ("lvd", "--frames", "n_frames"),
+    ], ids=["ef", "lvd"])
+    def test_empty_dataset_rejected(self, tmp_path, kind, flag, message):
+        out_dir, out = tmp_path / "data", tmp_path / "report.json"
+        assert run(["synth", kind, "--out-dir", str(out_dir), flag, "0", "--out", str(out)]) == 2
+        assert_failed_report(out, "ConfigurationError", message)
+        assert not out_dir.exists()
 
 
 class TestTrainEvalFlow:

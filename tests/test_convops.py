@@ -140,6 +140,20 @@ class TestConvTemporal:
         np.testing.assert_allclose(out[1, 2, :], conv1d_loops(v[1, 2, :], kt, "same"), atol=1e-12)
 
 
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stage, unit_axis", [(conv_spatial, 2), (conv_temporal, (0, 1))],
+                         ids=["spatial", "temporal"])
+def test_stage_is_full_convolution_on_unit_axis_kernel(stage, unit_axis, padding):
+    rng = np.random.default_rng(25)
+    video = rng.standard_normal((7, 6, 9))
+    kernel = rng.standard_normal((5, 3) if stage is conv_spatial else (3,))
+    counter, full_counter = OpCounter(), OpCounter()
+    got = stage(video, kernel, padding, counter)
+    want = conv3d_full(video, np.expand_dims(kernel, unit_axis), padding, full_counter)
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert (counter.multiplies, counter.adds) == (full_counter.multiplies, full_counter.adds)
+
+
 class TestConvFactored:
     def test_equivalence_8x8x8(self):
         rng = np.random.default_rng(9)
@@ -249,6 +263,29 @@ class TestSlabSweep:
         op, kernel_dims = SLAB_OPS[name]
         with pytest.raises(ShapeError, match=">= 1"):
             op(np.ones((4, 4, 4)), np.ones((0, *kernel_dims[1:])), "valid")
+
+
+# Shape, then the widths of its trailing axes; zero widths, unequal widths
+# and widths for fewer axes than the array has.
+ZERO_PAD_CASES = {
+    "rank2": ((5, 3), (2, 0)),
+    "rank3_unequal": ((4, 5, 2), (1, 2, 0)),
+    "rank3_last_axis_only": ((2, 3, 4), (3,)),
+    "rank4_zero": ((2, 3, 4, 2), (0, 0, 0)),
+    "rank5": ((2, 1, 3, 4, 2), (1, 2, 0)),
+    "rank5_every_axis": ((1, 2, 3, 2, 3), (1, 0, 2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("shape, widths", list(ZERO_PAD_CASES.values()), ids=list(ZERO_PAD_CASES))
+def test_zero_pad_matches_np_pad(shape, widths):
+    x = np.random.default_rng(26).standard_normal(shape)
+    x.reshape(-1)[:4] = [-0.0, np.nan, np.inf, -np.inf]
+    lead = x.ndim - len(widths)
+    want = np.pad(x, [(0, 0)] * lead + [(w, w) for w in widths])
+    got = convops.zero_pad(x, widths)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def depthwise_separable(x, depthwise, pointwise):

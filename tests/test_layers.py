@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from echokit import convops, ef, lvd
-from echokit.convops import pad_spatial, sliding_accumulate
-from echokit.errors import ShapeError
+from echokit.convops import sliding_accumulate, zero_pad
+from echokit.errors import ConfigurationError, ShapeError
 from echokit.nn import (
     Conv1d,
     Dense,
@@ -48,6 +49,34 @@ def assert_bits_equal(got, want):
     """Equal values and equal signs of zero."""
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestPaddingRule:
+    """Conv1d, DepthwiseSeparable2d and EfModelConfig reject a padding
+    through convops.check_padding, with its error and message."""
+
+    @staticmethod
+    def message(padding, kernel_dims):
+        with pytest.raises(ConfigurationError) as info:
+            convops.check_padding(padding, kernel_dims)
+        return re.escape(str(info.value))
+
+    @pytest.mark.parametrize("padding, k", [("full", 3), ("same", 4)],
+                             ids=["unknown", "even_same"])
+    def test_conv1d(self, padding, k):
+        with pytest.raises(ConfigurationError, match=self.message(padding, (k,))):
+            Conv1d(2, 3, k, padding=padding)
+
+    def test_depthwise_separable_even_kernel(self):
+        with pytest.raises(ConfigurationError, match=self.message("same", (4,))):
+            DepthwiseSeparable2d(2, 3, 4)
+
+    @pytest.mark.parametrize("padding, head_kernels", [("full", (7, 5)), ("same", (7, 4))],
+                             ids=["unknown", "even_same"])
+    def test_ef_model_config(self, monkeypatch, padding, head_kernels):
+        monkeypatch.setattr(ef.EfModel, "HEAD_KERNELS", head_kernels)
+        with pytest.raises(ConfigurationError, match=self.message(padding, head_kernels)):
+            ef.EfModelConfig(padding=padding)
 
 
 class TestConv1d:
@@ -284,12 +313,12 @@ class TestReferenceBitIdentity:
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_depthwise_nd(self, padding):
         """The convolution core with one (W, C) row of per-channel weights
-        per tap is the depthwise convolution; for "same", on pad_spatial's
+        per tap is the depthwise convolution; for "same", on zero_pad's
         output, as DepthwiseSeparable2d runs it."""
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 3, 9, 7, 4))
         kernels = rng.standard_normal((4, 3, 5))
-        padded = pad_spatial(x, 1, 2) if padding == "same" else x
+        padded = zero_pad(x, (1, 2, 0)) if padding == "same" else x
         want = depthwise_nd_reference(x, kernels, padding)
         width = want.shape[-2]
         rows = np.repeat(kernels.transpose(1, 2, 0)[:, :, None, :], width, axis=2)

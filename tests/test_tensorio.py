@@ -33,15 +33,6 @@ def test_float32_roundtrip_bit_exact(tmp_path):
     assert back.tobytes() == arr.tobytes()
 
 
-def test_single_precision_flag(tmp_path):
-    arr = np.random.default_rng(2).standard_normal((3, 3))
-    path = tmp_path / "t.ctr"
-    write_tensor(path, arr, single_precision=True)
-    back = read_tensor(path)
-    assert back.dtype == np.float32
-    np.testing.assert_allclose(back, arr, atol=1e-6)
-
-
 def test_header_layout(tmp_path):
     path = tmp_path / "t.ctr"
     write_tensor(path, np.zeros((2, 3), dtype=np.float64))
