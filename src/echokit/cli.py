@@ -17,8 +17,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -156,6 +158,8 @@ def cmd_bench(args) -> Report:
 
 def run_gradcheck(seed: int, instances_per_layer: int = 20) -> dict:
     """Per-layer FD checks plus end-to-end checks of both models."""
+    if instances_per_layer < 1:
+        raise ConfigurationError(f"instances must be >= 1, got {instances_per_layer}")
     metrics = {}
     for kind in LAYER_KINDS:
         metrics[f"rel_err_{kind}"] = check_layer_kind(
@@ -263,110 +267,93 @@ def cmd_synth(args) -> Report:
     return Report(metrics=metrics, verdicts={"completed": True})
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        optimizer=args.optimizer,
-        seed=args.seed,
-        loss=getattr(args, "loss", "mae"),
-    )
+@dataclass(frozen=True)
+class Task:
+    """What differs between the EF and LVD pipelines.
+
+    Each step looks its echokit functions up when called, so a caller
+    that rebinds a module function (a tracer, a test) sees the call.
+    """
+
+    kind: str  # checkpoint model kind
+    load_dataset: Callable  # data_dir -> samples
+    load_model: Callable  # checkpoint dir -> (model, manifest)
+    build: Callable  # (samples, args) -> untrained model
+    train: Callable  # (model, samples, config, args) -> (model, result, metrics, extra)
+    evaluate: Callable  # (model, samples, manifest) -> metrics
 
 
-def cmd_train_ef(args) -> Report:
-    samples = ef.load_ef_dataset(args.data)
-    frame_shape = samples[0].clip.sub_video.shape[:2]
-    model = ef.EfModel.build(
-        ef.EfModelConfig(
-            frame_shape=frame_shape,
-            encoder_dim=args.encoder_dim,
-            padding=args.padding,
-            seed=args.seed,
-        )
-    )
-    config = _train_config(args)
+def _train_ef(model, samples, config, args):
     model, result = ef.train_ef(model, samples, config)
     baseline = ef.baseline_mae(
         result.val, constant=float(np.mean(ef.video_truths(result.train)))
     )
-    if args.out_dir:
-        checkpoint.save_checkpoint(
-            args.out_dir, "ef", model.config, model.graph,
-            extra={
-                "train_config": asdict(config),
-                "best_epoch": result.best_epoch,
-                "best_val_mae": result.best_val_mae,
-            },
-        )
-    return Report(
-        metrics={
-            "n_samples": len(samples),
-            "n_params": model.graph.n_params(),
-            "best_epoch": result.best_epoch,
-            "best_val_mae": result.best_val_mae,
-            "baseline_val_mae": baseline,
-            "history": [s.as_dict() for s in result.history],
-        },
-        verdicts={"completed": True},
-    )
+    return model, result, {"baseline_val_mae": baseline}, {}
 
 
-def cmd_eval_ef(args) -> Report:
-    model, _ = checkpoint.load_ef_model(args.model)
-    samples = ef.load_ef_dataset(args.data)
-    mae = ef.evaluate_mae(model, samples)
-    baseline = ef.baseline_mae(samples)
-    return Report(
-        metrics={"mae": mae, "baseline_mae": baseline, "n_samples": len(samples)},
-        verdicts={"completed": True},
-    )
+def _eval_ef(model, samples, manifest):
+    return {"mae": ef.evaluate_mae(model, samples), "baseline_mae": ef.baseline_mae(samples),
+            "n_samples": len(samples)}
 
 
-def cmd_train_lvd(args) -> Report:
-    samples = lvd.load_lvd_dataset(args.data)
-    frame_shape = samples[0].frame.shape
-    model = lvd.LvdModel.build(
-        lvd.LvdModelConfig(frame_shape=frame_shape, seed=args.seed)
-    )
-    config = _train_config(args)
+def _train_lvd(model, samples, config, args):
     model, result = lvd.train_lvd(model, samples, config, coord_coef=args.coord_coef)
-    baseline = lvd.constant_baseline_mae(result.val)
-    weights = result.weights.as_array().tolist() if result.weights else None
-    if args.out_dir:
-        checkpoint.save_checkpoint(
-            args.out_dir, "lvd", model.config, model.graph,
-            extra={
-                "train_config": asdict(config),
-                "coord_coef": args.coord_coef,
-                "loss_weights": weights,
-                "best_epoch": result.best_epoch,
-                "best_val_mae": result.best_val_mae,
-            },
-        )
-    return Report(
-        metrics={
-            "n_samples": len(samples),
-            "n_params": model.graph.n_params(),
-            "best_epoch": result.best_epoch,
-            "best_val_mae": result.best_val_mae,
-            "baseline_val_mae": baseline.mean_mae,
-            "loss_weights": weights,
-            "history": [s.as_dict() for s in result.history],
-        },
-        verdicts={"completed": True},
-    )
+    weights = result.weights.as_array().tolist()
+    metrics = {"baseline_val_mae": lvd.constant_baseline_mae(result.val).mean_mae,
+               "loss_weights": weights}
+    return model, result, metrics, {"coord_coef": args.coord_coef, "loss_weights": weights}
 
 
-def cmd_eval_lvd(args) -> Report:
-    model, manifest = checkpoint.load_lvd_model(args.model)
-    samples = lvd.load_lvd_dataset(args.data)
-    evaluation = lvd.evaluate_lvd(model, samples)
-    baseline = lvd.constant_baseline_mae(samples)
-    metrics = evaluation.as_dict()
-    metrics["baseline_mae_mean"] = baseline.mean_mae
+def _eval_lvd(model, samples, manifest):
+    metrics = lvd.evaluate_lvd(model, samples).as_dict()
+    metrics["baseline_mae_mean"] = lvd.constant_baseline_mae(samples).mean_mae
     metrics["loss_weights"] = manifest.get("extra", {}).get("loss_weights")
-    return Report(metrics=metrics, verdicts={"completed": True})
+    return metrics
+
+
+EF = Task(
+    "ef",
+    load_dataset=lambda path: ef.load_ef_dataset(path),
+    load_model=lambda path: checkpoint.load_ef_model(path),
+    build=lambda samples, args: ef.EfModel.build(ef.EfModelConfig(
+        frame_shape=samples[0].clip.sub_video.shape[:2], encoder_dim=args.encoder_dim,
+        padding=args.padding, seed=args.seed,
+    )),
+    train=_train_ef,
+    evaluate=_eval_ef,
+)
+LVD = Task(
+    "lvd",
+    load_dataset=lambda path: lvd.load_lvd_dataset(path),
+    load_model=lambda path: checkpoint.load_lvd_model(path),
+    build=lambda samples, args: lvd.LvdModel.build(
+        lvd.LvdModelConfig(frame_shape=samples[0].frame.shape, seed=args.seed)
+    ),
+    train=_train_lvd,
+    evaluate=_eval_lvd,
+)
+
+
+def cmd_train(task: Task, args) -> Report:
+    samples = task.load_dataset(args.data)
+    model = task.build(samples, args)
+    config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size, epochs=args.epochs,
+                         optimizer=args.optimizer, seed=args.seed,
+                         loss=getattr(args, "loss", "mae"))
+    model, result, metrics, extra = task.train(model, samples, config, args)
+    best = {"best_epoch": result.best_epoch, "best_val_mae": result.best_val_mae}
+    if args.out_dir:
+        checkpoint.save_checkpoint(args.out_dir, task.kind, model.config, model.graph,
+                                   extra={"train_config": asdict(config), **best, **extra})
+    history = [s.as_dict() for s in result.history]
+    return Report(metrics={"n_samples": len(samples), "n_params": model.graph.n_params(),
+                           **best, "history": history, **metrics}, verdicts={"completed": True})
+
+
+def cmd_eval(task: Task, args) -> Report:
+    model, manifest = task.load_model(args.model)  # before the data: its errors come first
+    samples = task.load_dataset(args.data)
+    return Report(metrics=task.evaluate(model, samples, manifest), verdicts={"completed": True})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,26 +426,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder-dim", type=int, default=64)
     p.add_argument("--loss", choices=["mae", "mse"], default="mae")
     common(p)
-    p.set_defaults(fn=cmd_train_ef)
+    p.set_defaults(fn=partial(cmd_train, EF))
 
     p = sub.add_parser("eval-ef", help="MAE of a trained EF model on a dataset")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True)
     common(p)
-    p.set_defaults(fn=cmd_eval_ef)
+    p.set_defaults(fn=partial(cmd_eval, EF))
 
     p = sub.add_parser("train-lvd", help="train the keypoint/dimension model")
     train_common(p)
     p.add_argument("--coord-coef", type=float, default=1.0,
                    help="weight of the coordinate MSE term in the loss")
     common(p)
-    p.set_defaults(fn=cmd_train_lvd)
+    p.set_defaults(fn=partial(cmd_train, LVD))
 
     p = sub.add_parser("eval-lvd", help="per-dimension MAE of a trained LVD model")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True)
     common(p)
-    p.set_defaults(fn=cmd_eval_lvd)
+    p.set_defaults(fn=partial(cmd_eval, LVD))
 
     return parser
 

@@ -70,8 +70,9 @@ class TestNumericFlags:
         (["oracle-check", "--trials", "0"], "trials"),
         (["bench", "--video-dims", "8", "8", "8", "--kernel-dims", "3", "3", "3",
           "--repeats", "0"], "repeats"),
+        (["gradcheck", "--instances", "0"], "instances"),
     ], ids=["oracle_max_kernel_0", "oracle_kernel_above_dim", "oracle_trials_0",
-            "bench_repeats_0"])
+            "bench_repeats_0", "gradcheck_instances_0"])
     def test_out_of_range_value_writes_failed_report(self, tmp_path, argv, message):
         out = tmp_path / "report.json"
         assert run([*argv, "--out", str(out)]) == 2
@@ -304,6 +305,14 @@ class TestCheckpoint:
         checkpoint.save_checkpoint(tmp_path / "ck", "ef", model.config, model.graph)
         with pytest.raises(ValueError):
             checkpoint.load_lvd_model(tmp_path / "ck")
+
+    @pytest.mark.parametrize("kind, other", [("lvd", "ef"), ("ef", "lvd")])
+    def test_eval_on_other_kind_writes_failed_report(self, replay_data, tmp_path, kind, other):
+        out = tmp_path / "report.json"
+        code = run([f"eval-{kind}", "--data", str(replay_data / kind),
+                    "--model", str(replay_data / f"{other}_ck"), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "ConfigurationError", f"is not an {kind.upper()} model")
 
     @staticmethod
     def edit_ef_manifest(tmp_path, edit):
@@ -546,6 +555,56 @@ class TestReportConfig:
         assert report.metrics["error"] == "InputNotFoundError"
         assert set(report.config) == set(read_report(ok).config)
         assert report.config["model"] == str(tmp_path / "missing")
+
+
+class TestTaskOutputs:
+    """What each task adds to the shared train-*/eval-* reports and checkpoints."""
+
+    TRAIN_KEYS = {"n_samples", "n_params", "best_epoch", "best_val_mae", "baseline_val_mae",
+                  "history"}
+    EXTRA_KEYS = {"train_config", "best_epoch", "best_val_mae"}
+
+    @staticmethod
+    def train_and_eval(data, tmp_path, kind, *flags):
+        """(train report, checkpoint manifest, eval report) of one small run."""
+        ck, train, evaluate = tmp_path / "ck", tmp_path / "train.json", tmp_path / "eval.json"
+        assert run([f"train-{kind}", "--data", str(data / kind), "--out-dir", str(ck),
+                    "--epochs", "1", "--batch-size", "2", *flags, "--out", str(train)]) == 0
+        assert run([f"eval-{kind}", "--data", str(data / kind), "--model", str(ck),
+                    "--out", str(evaluate)]) == 0
+        manifest = json.loads((ck / "manifest.json").read_text())
+        assert manifest["model_kind"] == kind
+        return read_report(train), manifest, read_report(evaluate)
+
+    @staticmethod
+    def check_shared_extra(report, extra):
+        assert extra["train_config"] == {"learning_rate": 3e-3, "batch_size": 2, "epochs": 1,
+                                         "optimizer": "adam", "seed": 42, "loss": "mae"}
+        assert extra["best_epoch"] == report.metrics["best_epoch"]
+        assert extra["best_val_mae"] == report.metrics["best_val_mae"]
+
+    def test_ef(self, replay_data, tmp_path):
+        report, manifest, evaluated = self.train_and_eval(replay_data, tmp_path, "ef",
+                                                          "--encoder-dim", "8")
+        assert set(report.metrics) == self.TRAIN_KEYS
+        assert set(manifest["extra"]) == self.EXTRA_KEYS
+        self.check_shared_extra(report, manifest["extra"])
+        assert set(evaluated.metrics) == {"mae", "baseline_mae", "n_samples"}
+
+    def test_lvd(self, replay_data, tmp_path):
+        report, manifest, evaluated = self.train_and_eval(replay_data, tmp_path, "lvd",
+                                                          "--coord-coef", "0.5")
+        extra = manifest["extra"]
+        assert set(report.metrics) == self.TRAIN_KEYS | {"loss_weights"}
+        assert set(extra) == self.EXTRA_KEYS | {"coord_coef", "loss_weights"}
+        self.check_shared_extra(report, extra)
+        assert extra["coord_coef"] == 0.5
+        assert len(extra["loss_weights"]) == 3
+        assert report.metrics["loss_weights"] == extra["loss_weights"]
+        assert set(evaluated.metrics) == {"mae_ivs", "mae_lvid", "mae_lvpw", "mae_mean",
+                                          "n_samples", "n_degenerate", "baseline_mae_mean",
+                                          "loss_weights"}
+        assert evaluated.metrics["loss_weights"] == extra["loss_weights"]
 
 
 class TestReport:
