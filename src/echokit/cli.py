@@ -335,6 +335,8 @@ LVD = Task(
 
 
 def cmd_train(task: Task, args) -> Report:
+    if args.epochs < 1:  # no epoch means no validation MAE to select or report
+        raise ConfigurationError(f"epochs must be >= 1, got {args.epochs}")
     samples = task.load_dataset(args.data)
     model = task.build(samples, args)
     config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size, epochs=args.epochs,

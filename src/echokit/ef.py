@@ -37,6 +37,7 @@ from .nn import (
     split,
     value_and_grad,  # noqa: F401 -- kept as ef.value_and_grad, which perfbench's tests patch
 )
+from .parallel import map_in_order
 
 EF_LABEL_HEADER = ["clip_path", "ef_percent"]
 
@@ -162,11 +163,12 @@ def predict_ef(model: EfModel, clip: BeatClip | np.ndarray) -> float:
     return value
 
 
-def _group_by_video(samples):
+def _group_by_video(samples, values=None):
+    """*values* (default: the samples), one list per video in first-seen order."""
     groups: dict = {}
-    for i, s in enumerate(samples):
+    for i, (s, value) in enumerate(zip(samples, samples if values is None else values)):
         key = s.video_id if s.video_id is not None else f"__sample_{i}"
-        groups.setdefault(key, []).append(s)
+        groups.setdefault(key, []).append(value)
     return groups
 
 
@@ -179,10 +181,12 @@ def evaluate_mae(model: EfModel, samples) -> float:
     """
     if not samples:
         raise ShapeError("empty dataset")
-    errors = []
-    for group in _group_by_video(samples).values():
-        preds = [predict_ef(model, s.clip) for s in group]
-        errors.append(abs(float(np.mean(preds)) - group[0].ef_true))
+    # predict_ef is looked up per call, so a patched binding reaches the workers.
+    preds = map_in_order(lambda s: predict_ef(model, s.clip), samples)
+    errors = [
+        abs(float(np.mean(group)) - truth)
+        for group, truth in zip(_group_by_video(samples, preds).values(), video_truths(samples))
+    ]
     return float(np.mean(errors))
 
 

@@ -36,6 +36,7 @@ from .nn import (
     fit,
     split,
 )
+from .parallel import map_in_order
 
 LVD_LABEL_HEADER = [
     "frame_path", "x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4", "mm_per_pixel",
@@ -324,9 +325,12 @@ def evaluate_lvd(model: LvdModel, samples) -> LvdEvaluation:
         raise ShapeError("empty dataset")
     errors = np.zeros((len(samples), 3))
     degenerate = []
-    for i, sample in enumerate(samples):
-        pred_kp = predict_keypoints(model, sample.frame)
-        pred = dimensions_from_keypoints(pred_kp, sample.calibration)
+    # predict_keypoints is looked up per call, so a patched binding reaches the workers.
+    preds = map_in_order(
+        lambda s: dimensions_from_keypoints(predict_keypoints(model, s.frame), s.calibration),
+        samples,
+    )
+    for i, (sample, pred) in enumerate(zip(samples, preds)):
         if pred.is_degenerate():
             zero_dims = [
                 DIMENSION_NAMES[j] for j in np.flatnonzero(pred.as_array() == 0.0)

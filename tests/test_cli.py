@@ -71,8 +71,12 @@ class TestNumericFlags:
         (["bench", "--video-dims", "8", "8", "8", "--kernel-dims", "3", "3", "3",
           "--repeats", "0"], "repeats"),
         (["gradcheck", "--instances", "0"], "instances"),
+        # checked before the data is read, so a missing dataset is not reached
+        (["train-ef", "--data", "no_such_dataset", "--epochs", "0"], "epochs"),
+        (["train-lvd", "--data", "no_such_dataset", "--epochs", "0"], "epochs"),
     ], ids=["oracle_max_kernel_0", "oracle_kernel_above_dim", "oracle_trials_0",
-            "bench_repeats_0", "gradcheck_instances_0"])
+            "bench_repeats_0", "gradcheck_instances_0", "train_ef_epochs_0",
+            "train_lvd_epochs_0"])
     def test_out_of_range_value_writes_failed_report(self, tmp_path, argv, message):
         out = tmp_path / "report.json"
         assert run([*argv, "--out", str(out)]) == 2
