@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError, ShapeError
+from ..parallel import GradientPool
 from .layers import ModelGraph
 
 
@@ -63,12 +64,23 @@ def mse_value_and_grad(pred, target):
 LOSSES = {"mae": mae_value_and_grad, "mse": mse_value_and_grad}
 
 
-def value_and_grad(model: ModelGraph, batch, loss):
+def value_and_grad(model: ModelGraph, batch, loss, workers: GradientPool | None = None):
     """Batch-mean loss and exact reverse-mode parameter gradients.
 
     *batch* is a sequence of (input, target) pairs; *loss* maps
     (pred, target) to (value, dvalue/dpred).  Returns the loss value and
     the model's accumulated gradient buffers (zeroed first).
+
+    Every layer's ``backward`` adds to each parameter-gradient element
+    exactly once per sample, so the batch gradient is
+    ``((0 + c0) + c1) + ...`` over the samples' terms in sample order, and
+    the loss values are summed in sample order too.  With *workers*, a
+    ``GradientPool`` forked over the pairs of *batch*, this process adds
+    the terms of the batch's first block as it computes them, then each
+    worker's term in turn.  A worker's term went into zeroed buffers, so it
+    is ``0 + c``, which differs from ``c`` only when ``c`` is -0.0; a sum
+    that starts at +0.0 never becomes -0.0, so adding either gives the same
+    bits.  Without *workers* every sample runs here.
     """
     if isinstance(loss, str):
         loss = LOSSES[loss]
@@ -76,13 +88,23 @@ def value_and_grad(model: ModelGraph, batch, loss):
     n = len(batch)
     if n == 0:
         raise ShapeError("empty batch")
+    own = workers.start(batch, n) if workers is not None else n
     total = 0.0
-    for x, target in batch:
-        pred = model.forward(x)
-        value, dpred = loss(pred, target)
-        total += value
-        model.backward(np.asarray(dpred, dtype=np.float64) / n)
+    for x, target in batch[:own]:
+        total += _add_term(model, x, target, loss, n)
+    if workers is not None:
+        for value in workers.add_terms(model.grads()):
+            total += value
     return total / n, model.grads()
+
+
+def _add_term(model: ModelGraph, x, target, loss, n: int) -> float:
+    """Add one sample's term of an *n*-sample batch gradient to the
+    model's gradient buffers; returns the sample's loss value."""
+    pred = model.forward(x)
+    value, dpred = loss(pred, target)
+    model.backward(np.asarray(dpred, dtype=np.float64) / n)
+    return value
 
 
 def gradient_rel_error(analytic, numeric) -> float:
@@ -201,29 +223,41 @@ def fit(graph: ModelGraph, pairs, loss, evaluate, train, val, config: TrainConfi
     With epochs=0 the graph is unchanged and the history is empty.  A
     non-finite batch loss raises DomainError before the optimizer steps on
     its gradients.
+
+    Training steps run on every usable CPU: one ``GradientPool`` of forked
+    workers, opened after *pairs* exist, serves every step, and every
+    step calls the module-level ``value_and_grad``.
     """
     val = val or train
     rng = np.random.default_rng(config.seed + 1)
     step = make_optimizer(config, graph.params())
     result = TrainResult(train=train, val=val)
     best_params = None
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(pairs))
-        for start in range(0, len(pairs), config.batch_size):
-            batch = [pairs[i] for i in order[start : start + config.batch_size]]
-            value, grads = value_and_grad(graph, batch, loss)
-            if not math.isfinite(value):
-                raise DomainError(
-                    f"training loss is {value} at epoch {epoch}, "
-                    f"batch {start // config.batch_size}"
-                )
-            step(grads)
-        stats = EpochStats(epoch=epoch, train_mae=evaluate(train), val_mae=evaluate(val))
-        result.history.append(stats)
-        if best_params is None or stats.val_mae < result.best_val_mae:
-            result.best_epoch = epoch
-            result.best_val_mae = stats.val_mae
-            best_params = [p.copy() for p in graph.params()]
+    loss = LOSSES[loss] if isinstance(loss, str) else loss
+
+    def term(pair, n):  # a gradient worker's term of one sample
+        graph.zero_grads()
+        return _add_term(graph, *pair, loss, n)
+
+    with GradientPool(term, pairs, graph.params(), graph.grads(),
+                      min(config.batch_size, len(pairs))) as workers:
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(pairs))
+            for start in range(0, len(pairs), config.batch_size):
+                batch = [pairs[i] for i in order[start : start + config.batch_size]]
+                value, grads = value_and_grad(graph, batch, loss, workers=workers)
+                if not math.isfinite(value):
+                    raise DomainError(
+                        f"training loss is {value} at epoch {epoch}, "
+                        f"batch {start // config.batch_size}"
+                    )
+                step(grads)
+            stats = EpochStats(epoch=epoch, train_mae=evaluate(train), val_mae=evaluate(val))
+            result.history.append(stats)
+            if best_params is None or stats.val_mae < result.best_val_mae:
+                result.best_epoch = epoch
+                result.best_val_mae = stats.val_mae
+                best_params = [p.copy() for p in graph.params()]
     if best_params is not None:
         for p, best in zip(graph.params(), best_params):
             p[...] = best
