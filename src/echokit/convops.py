@@ -31,22 +31,30 @@ For a kernel of shape (mx, my, mt) the full convolution costs mx*my*mt
 multiplies per output element, while the factored form costs only
 (mx*my) + mt.
 
-Every convolution here and in nn.DepthwiseSeparable2d runs on one core,
-sliding_accumulate(), which adds one weight-scaled shifted view of the
-padded input per kernel tap.  Memory traffic, not multiplies, sets its
-time, so it sweeps the output in slabs of whole rows along the first
-axis and applies every tap to one slab before it moves to the next: the
-slab, one slab-sized scratch buffer and the input rows the taps read
-stay in cache, instead of the whole output streaming through memory once
-per tap.  A slab holds at most SLAB_BYTES of output, 384 KB; with a 7x7
-spatial kernel the slab, the scratch and the input rows then come to
-about 1.4 MB, inside a 2 MB per-core L2.  In a sweep from 32 KB to 2 MB
-on such a Xeon, with a 7x7x7 kernel on a 64^3 and a 112x112x64 video,
-256-384 KB were fastest for both stages, 384 KB by a little; smaller
-slabs pay more per-slab Python work, and from 512 KB up the working set
-crowds L2.  Each output element still sums the same products in the
-same tap order as one full-array pass per tap, so the outputs are bit
-for bit the same, and so are the op counts.
+Every convolution here and in nn.DepthwiseSeparable2d runs through one
+tap loop, sliding_accumulate(), which adds one weight-scaled shifted
+view of the padded input per kernel tap.  Memory traffic, not
+multiplies, sets its time, so it sweeps the output in slabs of whole
+rows along the first axis and applies every tap to one slab before it
+moves to the next: the slab, one slab-sized scratch buffer and the input
+rows the taps read stay in cache, instead of the whole output streaming
+through memory once per tap.  A slab holds at most SLAB_BYTES of output,
+384 KB; with a 7x7 spatial kernel the slab, the scratch and the input
+rows then come to about 1.4 MB, inside a 2 MB per-core L2.  In a sweep
+from 32 KB to 2 MB on such a Xeon, with a 7x7x7 kernel on a 64^3 and a
+112x112x64 video, 256-384 KB were fastest for both stages, 384 KB by a
+little; smaller slabs pay more per-slab Python work, and from 512 KB up
+the working set crowds L2.  Each output element still sums the same
+products in the same tap order as one full-array pass per tap, so the
+outputs are bit for bit the same, and so are the op counts.
+
+Slabs do not depend on each other, so a call of two or more slabs sweeps
+contiguous runs of them at once, one run per usable CPU: the caller
+sweeps run 0 and a short-lived thread each other run, each with its own
+scratch buffer, all writing into the one output (parallel.threaded_runs).
+numpy releases the interpreter lock inside each tap's multiply and add
+over a slab.  A call of one slab, as every nn layer call at the EF and
+LVD model shapes is, runs in the caller without touching threads.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigurationError, ShapeError, ValidationError
 
 PADDINGS = ("same", "valid")
@@ -160,23 +169,34 @@ def sliding_accumulate(padded, weights, offsets, out_shape, counter=None):
     (W, C) rows.  A slab is at most SLAB_BYTES of whole output rows (one
     row if a row is larger).  Every tap is applied to a slab before the
     next one starts: the first tap is written into the slab, each later
-    one is added through one reused scratch buffer.  Each output element
+    one is added through a reused scratch buffer.  Each output element
     sums its products in the fixed tap order, so results are deterministic
-    and bit for bit those of one full-array pass per tap.  Counts one
-    multiply per tap per output element and one add per tap per output
-    element after the first tap.
+    and bit for bit those of one full-array pass per tap.  Two or more
+    slabs are swept in contiguous runs, one per usable CPU, through
+    parallel.threaded_runs, each run with its own scratch buffer.  Counts
+    one multiply per tap per output element and one add per tap per
+    output element after the first tap.
     """
     out = np.empty(out_shape)
     height = max(1, SLAB_BYTES // out[0].nbytes)
-    scratch = np.empty(out[:height].shape)
     offsets = tuple(offsets)
-    for start in range(0, out_shape[0], height):
-        slab = out[start : start + height]
-        term, block = scratch[: len(slab)], padded[start:]
-        indices = _window_indices(offsets, slab.shape)
-        np.multiply(weights[0], block[indices[0]], out=slab)
-        for value, index in zip(weights[1:], indices[1:]):
-            slab += np.multiply(value, block[index], out=term)
+
+    def sweep(first, last):
+        """Slabs first to last - 1."""
+        scratch = np.empty(out[:height].shape)
+        for start in range(first * height, last * height, height):
+            slab = out[start : start + height]
+            term, block = scratch[: len(slab)], padded[start:]
+            indices = _window_indices(offsets, slab.shape)
+            np.multiply(weights[0], block[indices[0]], out=slab)
+            for value, index in zip(weights[1:], indices[1:]):
+                slab += np.multiply(value, block[index], out=term)
+
+    n_slabs = -(-len(out) // height)
+    if n_slabs == 1:
+        sweep(0, 1)
+    else:
+        parallel.threaded_runs(sweep, n_slabs)
     if counter is not None:
         taps = len(offsets)
         counter.add(multiplies=taps * out.size, adds=(taps - 1) * out.size)

@@ -1,12 +1,18 @@
-"""Order-preserving work over forked worker processes.
+"""Order-preserving work on every usable CPU: forked worker processes,
+and short-lived threads for numpy work that releases the interpreter lock.
 
 Evaluation predicts every sample on its own, and a training step's
-gradient is a sum of per-sample terms, so both can be split across CPUs
-without changing a bit.
+gradient is a sum of per-sample terms, so both can be split across forked
+processes without changing a bit.  A convolution's output slabs are
+independent of each other, so ``threaded_runs`` sweeps contiguous runs
+of them in threads that write straight into one shared output.  One rule,
+``_n_cpus``, says how many CPUs a piece of work may use: one inside a
+forked map or worker, and one while a second thread is alive.
 """
 
 from __future__ import annotations
 
+import contextvars
 import mmap
 import os
 import pickle
@@ -38,12 +44,69 @@ _in_map = False
 _GO = b"\x01"  # one byte on a gradient worker's pipes: "the next term" / "it is in the slot"
 
 
+def _n_cpus() -> int:
+    """CPUs this process may spread work over: 1 inside a map or worker, and
+    1 while a second thread is alive (fork copies only the calling thread,
+    and threads the sweep did not start already hold CPUs)."""
+    if _in_map or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _n_blocks(n_items: int, min_per_block: int) -> int:
-    if _in_map or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if not hasattr(os, "fork"):
         return 1
-    if threading.active_count() > 1:  # fork copies only the calling thread
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_items // min_per_block))
+    return max(1, min(_n_cpus(), n_items // min_per_block))
+
+
+def threaded_runs(fn, n_pieces: int) -> None:
+    """``fn(a, b)`` over contiguous runs ``[a, b)`` that cover
+    ``range(n_pieces)``, one run per usable CPU, all at once.
+
+    This thread sweeps run 0, and one short-lived thread each other run.
+    Every thread is joined before this returns or raises, so none is left
+    alive to stop a later fork.  Each thread runs in a copy of the caller's
+    context, so numpy's ``errstate``, which numpy keeps in a context
+    variable, holds there too.  The runs must write disjoint memory, and
+    *fn* gains only where it releases the interpreter lock, as numpy's
+    ufuncs do over large arrays.
+
+    If *fn* raises, the exception of the first failing run is raised, the
+    one a serial sweep of the runs would raise.  Everything runs in this
+    thread where ``map_in_order`` would not fork for want of CPUs: one
+    usable CPU, a second thread alive, or inside a map or worker.  If the
+    system refuses a thread, the runs not yet started are swept in this
+    thread, after run 0.
+    """
+    n_runs = min(_n_cpus(), n_pieces)
+    if n_runs == 1:
+        return fn(0, n_pieces)
+    bounds = [n_pieces * k // n_runs for k in range(n_runs + 1)]
+    errors = [None] * n_runs
+
+    def sweep(k):
+        try:
+            fn(bounds[k], bounds[k + 1])
+        except BaseException as exc:  # raised by the caller, in run order
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, n_runs):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(sweep, k))
+            try:
+                thread.start()
+            except RuntimeError:  # "can't start new thread"
+                break
+            threads.append(thread)
+        for k in (0, *range(len(threads) + 1, n_runs)):
+            sweep(k)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _flush_stdio() -> None:

@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from echokit import convops
+from echokit import convops, parallel
 from echokit.convops import (
     OpCounter,
     SeparableKernel,
@@ -263,6 +266,127 @@ class TestSlabSweep:
         op, kernel_dims = SLAB_OPS[name]
         with pytest.raises(ShapeError, match=">= 1"):
             op(np.ones((4, 4, 4)), np.ones((0, *kernel_dims[1:])), "valid")
+
+
+# Each form's kernel; the spatial stage of "factored" is five rows tall too.
+THREADED_KERNELS = {"full": (5, 3, 3), "spatial": (5, 3), "temporal": (3,), "factored": (5, 3, 3)}
+
+
+def threaded_case(name, padding, n_slabs):
+    """*name*'s op, a video whose output has 2 * n_slabs - 1 rows, a kernel,
+    and the slab size of two rows of the op's widest stage output: n_slabs
+    slabs in every stage, the last of one row."""
+    rng = np.random.default_rng(n_slabs)
+    dims = THREADED_KERNELS[name]
+    mx, mt = (1 if name == "temporal" else 5), dims[-1]
+    rows, nt = 2 * n_slabs - 1, 9
+    video = rng.standard_normal((rows + (mx - 1 if padding == "valid" else 0), 6, nt))
+    if name == "factored":
+        kernel = SeparableKernel(rng.standard_normal(dims[:2]), rng.standard_normal(mt))
+        out_nt = nt - mt + 1 if padding == "valid" else nt
+        # the spatial stage's rows hold nt values where the output's hold out_nt
+        return conv_factored, video, kernel, lambda row: 2 * (row // out_nt) * nt
+    return SLAB_OPS[name][0], video, rng.standard_normal(dims), lambda row: 2 * row
+
+
+def flop_model_of(name, video_dims, padding):
+    """flop_model's count for *name*; a stage is the full form on its unit-axis kernel."""
+    unit_axis = {"spatial": (5, 3, 1), "temporal": (1, 1, 3)}
+    kernel_dims = unit_axis.get(name, THREADED_KERNELS[name])
+    return flop_model(video_dims, kernel_dims, "factored" if name == "factored" else "full",
+                      padding)
+
+
+def count_sweeps(monkeypatch):
+    """Record the slab count of each sweep that goes to parallel.threaded_runs."""
+    calls = []
+    real = parallel.threaded_runs
+
+    def spy(fn, n_pieces):
+        calls.append(n_pieces)
+        return real(fn, n_pieces)
+
+    monkeypatch.setattr(parallel, "threaded_runs", spy)
+    return calls
+
+
+class TestThreadedSweep:
+    """Two or more slabs are swept in contiguous runs, one per usable CPU:
+    the bytes and counts of the unblocked reference, and one thread started
+    per run beyond the caller's."""
+
+    @pytest.mark.parametrize("cpus", [2, 3], ids=["2cpus", "3cpus"])
+    @pytest.mark.parametrize("n_slabs", [2, 3, 7])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("name", sorted(THREADED_KERNELS))
+    def test_matches_reference_and_flop_model(self, monkeypatch, thread_starts, usable_cpus,
+                                              name, padding, n_slabs, cpus):
+        # 3 slabs over 2 CPUs and 7 over 2 or 3 split unevenly.
+        usable_cpus(cpus)
+        op, video, kernel, slab_bytes = threaded_case(name, padding, n_slabs)
+        sweeps = count_sweeps(monkeypatch)
+        result = reference_and_swept(monkeypatch, op, video, kernel, padding, slab_bytes)
+        assert_same_bytes(*result)
+        assert result[3].multiplies == flop_model_of(name, video.shape, padding)
+        stages = 2 if name == "factored" else 1
+        assert sweeps == [n_slabs] * stages
+        assert len(thread_starts) == stages * (min(cpus, n_slabs) - 1)
+        assert not any(thread.is_alive() for thread in thread_starts)
+
+    @pytest.mark.parametrize("name", sorted(THREADED_KERNELS))
+    def test_one_slab_makes_no_threaded_call(self, monkeypatch, thread_starts, usable_cpus,
+                                             name):
+        usable_cpus(2)
+        op, video, kernel, _ = threaded_case(name, "same", 4)
+        sweeps = count_sweeps(monkeypatch)
+        assert_same_bytes(*reference_and_swept(monkeypatch, op, video, kernel, "same"))
+        assert sweeps == [] and thread_starts == []
+
+    @pytest.mark.parametrize("cpus", [2, 3], ids=["2cpus", "3cpus"])
+    def test_refused_thread_sweeps_in_the_caller(self, monkeypatch, usable_cpus, cpus):
+        def refuse(self):
+            raise RuntimeError("can't start new thread")
+
+        usable_cpus(cpus)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        op, video, kernel, slab_bytes = threaded_case("full", "same", 7)
+        assert_same_bytes(*reference_and_swept(monkeypatch, op, video, kernel, "same",
+                                               slab_bytes))
+
+    def test_more_runs_than_cores_under_fast_switching(self, monkeypatch, thread_starts,
+                                                       usable_cpus):
+        # 23 one-row slabs over 8 "CPUs", with a thread switch every microsecond:
+        # a run that wrote another's rows or lost a tap would change the bytes.
+        usable_cpus(8)
+        op, video, kernel, _ = threaded_case("full", "same", 12)
+        expected, ref_counter, _, _ = reference_and_swept(monkeypatch, op, video, kernel, "same")
+        monkeypatch.setattr(convops, "SLAB_BYTES", expected[0].nbytes)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                counter = OpCounter()
+                assert_same_bytes(expected, ref_counter, op(video, kernel, "same", counter),
+                                  counter)
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(thread_starts) == 10 * 7
+
+    @pytest.mark.parametrize("slab_rows", [None, 1], ids=["1slab", "9slabs"])
+    def test_callers_errstate_reaches_every_run(self, monkeypatch, thread_starts, usable_cpus,
+                                                slab_rows):
+        # Only the last row overflows: with 9 slabs over 3 CPUs, in a thread's run.
+        usable_cpus(3)
+        video = np.ones((9, 4, 5))
+        video[-1] = 1e300
+        if slab_rows:
+            monkeypatch.setattr(convops, "SLAB_BYTES", slab_rows * video[0].nbytes)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            conv3d_full(video, np.full((1, 1, 1), 1e10), "same")
+        assert len(thread_starts) == (2 if slab_rows else 0)
+        assert not any(thread.is_alive() for thread in thread_starts)
+        with np.errstate(over="ignore"):
+            assert np.isinf(conv3d_full(video, np.full((1, 1, 1), 1e10), "same")[-1]).all()
 
 
 # Shape, then the widths of its trailing axes; zero widths, unequal widths

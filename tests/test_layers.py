@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from echokit import convops, ef, lvd
+from echokit import convops, ef, lvd, parallel
 from echokit.convops import sliding_accumulate, zero_pad
+from echokit.datasets import build_ef_samples, build_lvd_samples
 from echokit.errors import ConfigurationError, ShapeError
 from echokit.nn import (
     Conv1d,
@@ -22,6 +23,7 @@ from echokit.nn import (
 from echokit.nn import layers
 from echokit.nn.layers import sigmoid
 from echokit.nn.gradcheck import LAYER_KINDS, check_layer, check_layer_kind
+from echokit.synth import EfDatasetSpec, LvdDatasetSpec, LvdSceneParams
 
 from oracles import (
     conv1d_layer_loops,
@@ -373,6 +375,16 @@ class TestReferenceBitIdentity:
         monkeypatch.setattr(convops, "SLAB_BYTES", slab_rows * 8 * math.prod(shape[1:]))
         self._check_depthwise_separable(shape, signed_zeros=True)
 
+    @pytest.mark.parametrize("cpus", [2, 3], ids=["2cpus", "3cpus"])
+    @pytest.mark.parametrize("shape", [(7, 6, 3), (5, 6, 6, 2)], ids=["rank3", "rank4"])
+    def test_depthwise_separable_threaded(self, monkeypatch, thread_starts, usable_cpus,
+                                          shape, cpus):
+        """One-row slabs, swept in runs over 2 or 3 CPUs in both passes."""
+        usable_cpus(cpus)
+        monkeypatch.setattr(convops, "SLAB_BYTES", 8 * math.prod(shape[1:]))
+        self._check_depthwise_separable(shape, signed_zeros=True)
+        assert len(thread_starts) == 2 * (cpus - 1)
+
     @pytest.mark.parametrize("shape", [(4, 8, 6, 3), (2, 3, 5, 7, 2), (6, 6, 1)])
     def test_max_pool_forward_and_backward(self, shape):
         rng = np.random.default_rng(sum(shape) + 1)
@@ -448,6 +460,46 @@ class TestReferenceBitIdentity:
             lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
             batch.append((model.prepare_input(frame), (points, 1.0, lengths)))
         self._check_model(monkeypatch, model.graph, batch, objective)
+
+
+def test_models_at_shipped_shapes_sweep_single_slabs(monkeypatch, thread_starts, usable_cpus):
+    """A training step of the default EF model on a default one-beat 16x16
+    clip, and of the default LVD model on a 64x64 frame: every sweep is one
+    slab, which calls no threading code and starts no thread."""
+    usable_cpus(2)
+    sweeps = []
+    monkeypatch.setattr(parallel, "threaded_runs", lambda fn, n_pieces: sweeps.append(n_pieces))
+    sample = build_ef_samples(EfDatasetSpec(n_videos=1, frame_dims=(16, 16), seed=2))[0]
+    model = ef.EfModel.build(ef.EfModelConfig())
+    value_and_grad(model.graph, [(model.prepare_input(sample.clip), np.array([0.5]))], "mae")
+    frame = build_lvd_samples(LvdDatasetSpec(
+        n_frames=1, scene=LvdSceneParams.for_frame((64, 64)), seed=2))[0].frame
+    model = lvd.LvdModel.build(lvd.LvdModelConfig())
+    points = np.array([[10.0, 12.0], [30.0, 50.0], [52.0, 20.0], [20.0, 40.0]])
+    target = (points, 1.0, np.linalg.norm(np.diff(points, axis=0), axis=1))
+    objective = lvd.LvdObjective(lvd.LossWeights(0.5, 0.2, 0.4), model.coord_scale())
+    value_and_grad(model.graph, [(model.prepare_input(frame), target)], objective)
+    assert sweeps == [] and thread_starts == []
+
+
+class TestNonFinitePolicy:
+    """What sigmoid and Swish give for NaN and infinite inputs."""
+
+    def test_sigmoid_nan_gives_nan(self):
+        # NaN's sign bit is left open.
+        x = np.array([np.nan, -np.nan, 0.5])
+        assert np.isnan(sigmoid(x)[:2]).all() and np.isnan(sigmoid(np.nan))
+
+    def test_sigmoid_infinities_give_exactly_one_and_zero(self):
+        assert_bits_equal(sigmoid(np.array([np.inf, -np.inf])), np.array([1.0, 0.0]))
+        assert sigmoid(np.inf) == 1.0 and sigmoid(-np.inf) == 0.0
+
+    def test_swish_propagates_nan(self):
+        layer, cache = Swish(), {}
+        out = layer.forward(np.array([np.nan, 1.0, -2.0]), cache)
+        assert np.isnan(out[0]) and np.isfinite(out[1:]).all()
+        dx = layer.backward(np.ones(3), cache)
+        assert np.isnan(dx[0]) and np.isfinite(dx[1:]).all()
 
 
 class TestFrameEncoder:

@@ -10,7 +10,8 @@ import threading
 import numpy as np
 import pytest
 
-from echokit import ef, lvd, parallel
+from echokit import convops, ef, lvd, parallel
+from echokit.convops import conv_spatial
 from echokit.datasets import build_ef_samples, build_lvd_samples, write_ef_dataset
 from echokit.errors import DomainError, ShapeError
 from echokit.nn import (
@@ -24,6 +25,8 @@ from echokit.nn import (
     mse_value_and_grad,
 )
 from echokit.synth import EfDatasetSpec, LvdDatasetSpec, LvdSceneParams
+
+from oracles import sliding_accumulate_reference
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
@@ -448,4 +451,122 @@ class TestForkedTrainingErrors:
     def test_normal_return_reaps_workers(self, grad_forks):
         tiny_run("mse")
         assert len(grad_forks) == n_workers()
+        assert_no_children()
+
+
+# Threaded runs: the caller's run 0 and one short-lived thread per other run.
+
+RUNS_OF_7 = [(0, 2), (2, 4), (4, 7)]  # 7 pieces over 3 CPUs
+
+
+class TestThreadedRuns:
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, usable_cpus):
+        usable_cpus(3)
+
+    def test_runs_cover_the_pieces(self, thread_starts):
+        where = {}
+        parallel.threaded_runs(lambda a, b: where.__setitem__((a, b), threading.get_ident()), 7)
+        assert sorted(where) == RUNS_OF_7
+        here = threading.get_ident()
+        assert [where[run] == here for run in RUNS_OF_7] == [True, False, False]
+        assert len(thread_starts) == 2
+        assert not any(thread.is_alive() for thread in thread_starts)
+
+    @pytest.mark.parametrize("failing", [(1, 2), (0, 2), (0, 1), (2,)])
+    def test_first_failing_run_raises_as_serial(self, thread_starts, failing):
+        # Every failing run but the last waits until the last has raised.
+        last_failed = threading.Event()
+
+        def sweep(a, b):
+            run = [r for r, _ in RUNS_OF_7].index(a)
+            if run not in failing:
+                return
+            if run == failing[-1]:
+                last_failed.set()
+            else:
+                assert last_failed.wait(10.0)
+            raise DomainError(f"run {run} failed")
+
+        with pytest.raises(DomainError, match=f"run {failing[0]} failed"):
+            parallel.threaded_runs(sweep, 7)
+        assert len(thread_starts) == 2
+        assert not any(thread.is_alive() for thread in thread_starts)
+
+    @pytest.mark.parametrize("refuse_from", [1, 2])
+    def test_refused_thread_runs_in_the_caller(self, monkeypatch, refuse_from):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            if len(started) + 1 >= refuse_from:
+                raise RuntimeError("can't start new thread")
+            real_start(thread)
+            started.append(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        where = {}
+        parallel.threaded_runs(lambda a, b: where.__setitem__((a, b), threading.get_ident()), 7)
+        here = [run for run, ident in where.items() if ident == threading.get_ident()]
+        assert sorted(where) == RUNS_OF_7
+        assert sorted(here) == [RUNS_OF_7[0], *RUNS_OF_7[refuse_from:]]
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("state", ["one_cpu", "in_map", "second_thread"])
+    def test_one_run_in_the_caller(self, monkeypatch, usable_cpus, state):
+        if state == "one_cpu":
+            usable_cpus(1)
+        elif state == "in_map":
+            monkeypatch.setattr(parallel, "_in_map", True)  # the state a worker inherits
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10.0,))
+        if state == "second_thread":
+            thread.start()
+        calls = []
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start", thread_not_allowed)
+                parallel.threaded_runs(lambda a, b: calls.append((a, b)), 7)
+        finally:
+            release.set()
+            if state == "second_thread":
+                thread.join(timeout=10.0)
+        assert calls == [(0, 7)] and not thread.is_alive()
+
+
+def thread_not_allowed(thread):
+    raise AssertionError("Thread.start called")
+
+
+def conv_case(monkeypatch):
+    """A video and spatial kernel that conv_spatial sweeps in 7 slabs, and
+    the output bytes of the unblocked reference."""
+    rng = np.random.default_rng(31)
+    video, kernel = rng.standard_normal((13, 6, 9)), rng.standard_normal((5, 3))
+    monkeypatch.setattr(convops, "SLAB_BYTES", 2 * video[0].nbytes)
+    with monkeypatch.context() as m:
+        m.setattr(convops, "sliding_accumulate", sliding_accumulate_reference)
+        want = conv_spatial(video, kernel).tobytes()
+    return lambda: conv_spatial(video, kernel), want
+
+
+class TestThreadsAndForks:
+    def test_map_forks_right_after_a_threaded_sweep(self, forks, thread_starts, monkeypatch):
+        convolve, want = conv_case(monkeypatch)
+        assert convolve().tobytes() == want
+        assert len(thread_starts) == 1
+        assert parallel.map_in_order(square, range(8)) == [x * x for x in range(8)]
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_sweep_in_a_forked_map_stays_on_one_thread(self, forks, thread_starts, monkeypatch):
+        convolve, want = conv_case(monkeypatch)
+
+        def item(x):
+            before = len(thread_starts)
+            same = convolve().tobytes() == want
+            return parallel._in_map, len(thread_starts) - before, same
+
+        assert parallel.map_in_order(item, range(4)) == [(True, 0, True)] * 4
+        assert len(forks) == 1 and thread_starts == []
         assert_no_children()
