@@ -99,18 +99,25 @@ def cmd_oracle_check(args) -> Report:
     )
 
 
-def _median_ms(fn, repeats: int) -> float:
-    times = []
+def _median_ms(fns, repeats: int) -> list[float]:
+    """Each of *fns*' median wall time in ms over *repeats* rounds that call
+    every one of them once, in order, so load that shifts during the run
+    reaches all of them alike."""
+    times = [[] for _ in fns]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * 1e3)
-    return float(np.median(times))
+        for fn, fn_times in zip(fns, times):
+            t0 = time.perf_counter()
+            fn()
+            fn_times.append((time.perf_counter() - t0) * 1e3)
+    return [float(np.median(fn_times)) for fn_times in times]
 
 
 def run_bench(video_dims, kernel_dims, repeats: int, padding: str, seed: int) -> dict:
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
+    for name, dims in (("video_dims", video_dims), ("kernel_dims", kernel_dims)):
+        if min(dims) < 1:
+            raise ConfigurationError(f"{name} must all be >= 1, got {tuple(dims)}")
     rng = np.random.default_rng(seed)
     video = rng.standard_normal(tuple(video_dims))
     sep = convops.SeparableKernel(
@@ -129,8 +136,9 @@ def run_bench(video_dims, kernel_dims, repeats: int, padding: str, seed: int) ->
     model_full = convops.flop_model(video_dims, kernel_dims, "full", padding)
     model_factored = convops.flop_model(video_dims, kernel_dims, "factored", padding)
 
-    wall_full = _median_ms(lambda: convops.conv3d_full(video, dense, padding), repeats)
-    wall_factored = _median_ms(lambda: convops.conv_factored(video, sep, padding), repeats)
+    wall_full, wall_factored = _median_ms(
+        [lambda: convops.conv3d_full(video, dense, padding),
+         lambda: convops.conv_factored(video, sep, padding)], repeats)
     return {
         "count_full": count_full,
         "count_factored": count_factored,

@@ -11,15 +11,15 @@ conv_factored():    spatial followed by temporal convolution for a
 kron_kernel():      expand a separable kernel into its dense 3D form,
 flop_model():       closed-form multiply counts for full/factored modes,
 check_padding():    the "same"/"valid" rule, for the nn layers too,
-zero_pad():         zero padding of trailing axes, for the nn layers too,
-sliding_accumulate(): the tap loop of the three convolutions, which
-                    nn.DepthwiseSeparable2d also runs for its per-channel
+zero_pad():         zero padding of trailing axes, for the nn layers,
+sliding_accumulate(): the tap loop over a padded array, which
+                    nn.DepthwiseSeparable2d runs for its per-channel
                     spatial convolution and for its input gradient.
 
 The spatial and temporal stages are the full convolution on a unit-axis
 kernel, (mx, my, 1) and (1, 1, mt): all three forms share one front end,
-which checks the padding, pads or checks the 'valid' extent, and runs
-the taps in row-major kernel order.
+which checks the padding and the 'valid' extent and runs the taps in
+row-major kernel order.
 
 All convolutions are cross-correlations (no kernel flip), the usual
 deep-learning convention.  Padding is either "same" (zero fill, odd kernel
@@ -32,26 +32,50 @@ multiplies per output element, while the factored form costs only
 (mx*my) + mt.
 
 Every convolution here and in nn.DepthwiseSeparable2d runs through one
-tap loop, sliding_accumulate(), which adds one weight-scaled shifted
-view of the padded input per kernel tap.  Memory traffic, not
-multiplies, sets its time, so it sweeps the output in slabs of whole
-rows along the first axis and applies every tap to one slab before it
-moves to the next: the slab, one slab-sized scratch buffer and the input
-rows the taps read stay in cache, instead of the whole output streaming
-through memory once per tap.  A slab holds at most SLAB_BYTES of output,
-384 KB; with a 7x7 spatial kernel the slab, the scratch and the input
-rows then come to about 1.4 MB, inside a 2 MB per-core L2.  In a sweep
-from 32 KB to 2 MB on such a Xeon, with a 7x7x7 kernel on a 64^3 and a
-112x112x64 video, 256-384 KB were fastest for both stages, 384 KB by a
-little; smaller slabs pay more per-slab Python work, and from 512 KB up
-the working set crowds L2.  Each output element still sums the same
-products in the same tap order as one full-array pass per tap, so the
-outputs are bit for bit the same, and so are the op counts.
+tap loop, _accumulate(), which adds one weight-scaled shifted window of
+the input per kernel tap, and one sweep, _sweep().  Memory traffic, not
+multiplies, sets its time, so the sweep fills the output in slabs of
+whole rows along the first axis and applies every tap to one slab before
+it moves to the next: the slab, one slab-sized scratch buffer and the
+input rows the taps read stay in cache, instead of the whole output
+streaming through memory once per tap.  A slab holds at most SLAB_BYTES
+of output, 384 KB; with a 7x7 spatial kernel the slab, the scratch and
+the input rows then come to about 1.4 MB, inside a 2 MB per-core L2.  In
+a sweep from 32 KB to 2 MB on such a Xeon, with a 7x7x7 kernel on a 64^3
+and a 112x112x64 video, 256-384 KB were fastest for both stages, 384 KB
+by a little; smaller slabs pay more per-slab Python work, and from 512 KB
+up the working set crowds L2.
+
+The three forms never pad the whole video.  A slab of output rows reads
+(slab rows + mx - 1) rows of input; in "same" mode each run of slabs
+copies them into one zero-bordered buffer of padded (ny + my - 1) x
+(nt + mt - 1) planes that it reuses, and in "valid" mode it reads them
+where they are.  Laid out flat, output (a, b, c) of a slab sits at
+position (a, b, c) of that padded layout, and tap (i, j, k) reads a
+fixed distance further on, so every tap is one contiguous 1-D window:
+one long inner loop per multiply and add, where a 3-D window has one
+per (row, plane) pair, nt values long in the temporal stage.  The run
+computes the positions between output rows too, then copies the kept
+ones into the output.  Each kept element still sums the same products
+in the same tap order as one full-array pass per tap over the padded
+video, so the outputs are bit for bit the same, and so are the op
+counts, which count kept outputs only.
+
+The dropped positions mix values of neighbouring rows and can overflow
+or underflow where no output does, so the taps run with numpy's
+floating-point errors reported to a callback, not raised or warned.  If
+the callback fired, and either the slab's outputs are not all finite or
+the caller traps underflow, the slab is computed again with 3-D windows
+over the same input rows under the caller's errstate: kept outputs then
+warn and raise exactly as one full-array pass per tap would, and
+dropped ones never do.  DepthwiseSeparable2d keeps its (W, C)-row
+windows on its padded input: as one flat window, its per-channel weights
+would have to be tiled to the window's length for each input shape.
 
 Slabs do not depend on each other, so a call of two or more slabs sweeps
 contiguous runs of them at once, one run per usable CPU: the caller
 sweeps run 0 and a short-lived thread each other run, each with its own
-scratch buffer, all writing into the one output (parallel.threaded_runs).
+buffers, all writing into the one output (parallel.threaded_runs).
 numpy releases the interpreter lock inside each tap's multiply and add
 over a slab.  A call of one slab, as every nn layer call at the EF and
 LVD model shapes is, runs in the caller without touching threads.
@@ -160,63 +184,111 @@ def _window_indices(offsets, out_shape):
     return tuple(tuple(slice(o, o + n) for o, n in zip(offset, out_shape)) for offset in offsets)
 
 
-def sliding_accumulate(padded, weights, offsets, out_shape, counter=None):
-    """Sum weight-scaled shifted views of a padded array, slab by slab.
+def _accumulate(out, term, block, weights, offsets):
+    """The tap loop: out = the sum of weights[t] * block[offsets[t] : offsets[t] + out.shape]
+    over the taps t, in tap order, through the scratch buffer *term* of out's shape."""
+    indices = _window_indices(offsets, out.shape)
+    np.multiply(weights[0], block[indices[0]], out=out)
+    for value, index in zip(weights[1:], indices[1:]):
+        out += np.multiply(value, block[index], out=term)
 
-    Tap t adds weights[t] * padded[offsets[t] : offsets[t] + out_shape]
-    for a tuple of ints offsets[t] and a scalar or an array weights[t]
-    that broadcasts against an output row, such as DepthwiseSeparable2d's
-    (W, C) rows.  A slab is at most SLAB_BYTES of whole output rows (one
-    row if a row is larger).  Every tap is applied to a slab before the
-    next one starts: the first tap is written into the slab, each later
-    one is added through a reused scratch buffer.  Each output element
-    sums its products in the fixed tap order, so results are deterministic
-    and bit for bit those of one full-array pass per tap.  Two or more
-    slabs are swept in contiguous runs, one per usable CPU, through
-    parallel.threaded_runs, each run with its own scratch buffer.  Counts
-    one multiply per tap per output element and one add per tap per
-    output element after the first tap.
-    """
-    out = np.empty(out_shape)
+
+def _sweep(out, run):
+    """Fill *out* slab by slab: at most SLAB_BYTES of whole rows along its
+    first axis (one row if a row is larger).  A run of slabs calls
+    run(height) once for its slab function, then slab(start, out[start :
+    start + height]) for each of its slabs in order.  Two or more slabs
+    are swept in contiguous runs, one per usable CPU, through
+    parallel.threaded_runs; one slab runs in the caller."""
     height = max(1, SLAB_BYTES // out[0].nbytes)
-    offsets = tuple(offsets)
 
     def sweep(first, last):
         """Slabs first to last - 1."""
-        scratch = np.empty(out[:height].shape)
+        slab = run(height)
         for start in range(first * height, last * height, height):
-            slab = out[start : start + height]
-            term, block = scratch[: len(slab)], padded[start:]
-            indices = _window_indices(offsets, slab.shape)
-            np.multiply(weights[0], block[indices[0]], out=slab)
-            for value, index in zip(weights[1:], indices[1:]):
-                slab += np.multiply(value, block[index], out=term)
+            slab(start, out[start : start + height])
 
     n_slabs = -(-len(out) // height)
     if n_slabs == 1:
         sweep(0, 1)
     else:
         parallel.threaded_runs(sweep, n_slabs)
-    if counter is not None:
-        taps = len(offsets)
-        counter.add(multiplies=taps * out.size, adds=(taps - 1) * out.size)
+
+
+def sliding_accumulate(padded, weights, offsets, out_shape):
+    """Sum weight-scaled shifted views of a padded array, slab by slab.
+
+    Tap t adds weights[t] * padded[offsets[t] : offsets[t] + out_shape]
+    for a tuple of ints offsets[t] and a scalar or an array weights[t]
+    that broadcasts against an output row, such as DepthwiseSeparable2d's
+    (W, C) rows.  Every tap is applied to a slab before the next one
+    starts: the first tap is written into the slab, each later one is
+    added through a reused scratch buffer, one per run of slabs.  Each
+    output element sums its products in the fixed tap order, so results
+    are deterministic and bit for bit those of one full-array pass per
+    tap.
+    """
+    out = np.empty(out_shape)
+    offsets = tuple(offsets)
+
+    def run(height):
+        scratch = np.empty(out[:height].shape)
+        return lambda start, slab: _accumulate(slab, scratch[: len(slab)], padded[start:],
+                                               weights, offsets)
+
+    _sweep(out, run)
     return out
 
 
 def _convolve(video, kernel, padding, counter, name="video"):
     """Convolve a checked video with a checked rank-3 kernel: the body of
-    all three convolution forms, taps in row-major kernel order."""
+    all three convolution forms, taps in row-major kernel order, each tap
+    one flat window over a slab's padded input rows; see the module
+    docstring."""
     check_padding(padding, kernel.shape)
-    if padding == "same":
-        padded = zero_pad(video, tuple(m // 2 for m in kernel.shape))
-        out_shape = video.shape
-    else:
-        if any(m > n for m, n in zip(kernel.shape, video.shape)):
-            raise ShapeError(f"kernel {kernel.shape} does not fit inside {name} "
-                             f"{video.shape} in 'valid' mode")
-        padded = video
-        out_shape = tuple(n - m + 1 for n, m in zip(video.shape, kernel.shape))
-    return sliding_accumulate(padded, kernel.ravel(), np.ndindex(kernel.shape), out_shape, counter)
+    if padding == "valid" and any(m > n for m, n in zip(kernel.shape, video.shape)):
+        raise ShapeError(f"kernel {kernel.shape} does not fit inside {name} "
+                         f"{video.shape} in 'valid' mode")
+    (n0, n1, n2), (m0, m1, m2) = video.shape, kernel.shape
+    w0, w1, w2 = (m // 2 if padding == "same" else 0 for m in kernel.shape)
+    p1, p2 = n1 + 2 * w1, n2 + 2 * w2  # a padded plane
+    out = np.empty((n0 + 2 * w0 - m0 + 1, p1 - m1 + 1, p2 - m2 + 1))
+    weights = kernel.ravel()
+    taps = tuple(np.ndindex(kernel.shape))
+    flat_taps = tuple((i * p1 * p2 + j * p2 + k,) for i, j, k in taps)
+    trap_under = np.geterr()["under"] != "ignore"
+
+    def run(height):
+        padded = np.zeros((height + m0 - 1, p1, p2)) if padding == "same" else None
+        acc, term = np.empty(height * p1 * p2), np.empty(height * p1 * p2)
+
+        def slab(start, dest):
+            n_rows = len(dest) + m0 - 1
+            if padded is None:
+                rows = video[start : start + n_rows]
+            else:
+                rows = padded[:n_rows]
+                first = start - w0  # the video row of rows[0]
+                a, b = max(first, 0), min(first + n_rows, n0)
+                rows[: a - first] = 0
+                rows[b - first :] = 0
+                rows[a - first : b - first, w1 : w1 + n1, w2 : w2 + n2] = video[a:b]
+            size = len(dest) * p1 * p2 - (m1 - 1) * p2 - (m2 - 1)
+            flagged = []
+            with np.errstate(over="call", invalid="call", under="call",
+                             call=lambda kind, flag: flagged.append(kind)):
+                _accumulate(acc[:size], term[:size], rows.reshape(-1), weights, flat_taps)
+            kept = acc[: len(dest) * p1 * p2].reshape(len(dest), p1, p2)
+            np.copyto(dest, kept[:, : dest.shape[1], : dest.shape[2]])
+            if flagged and (trap_under or not np.isfinite(dest).all()):
+                _accumulate(dest, term[: dest.size].reshape(dest.shape), rows, weights, taps)
+
+        return slab
+
+    _sweep(out, run)
+    if counter is not None:  # one multiply per tap, one add per tap after the first
+        counter.add(multiplies=len(taps) * out.size, adds=(len(taps) - 1) * out.size)
+    return out
 
 
 def conv3d_full(

@@ -245,6 +245,17 @@ def sliding_accumulate_reference(padded, kernel_flat, offsets, out_shape, counte
     return out
 
 
+def convolve_reference(video, kernel, padding, counter=None):
+    """A convolution form as it was before slabs: the rank-3 *kernel* slid
+    over the np.pad-ed video ("same") or the video itself ("valid") by
+    sliding_accumulate_reference, taps in row-major kernel order."""
+    if padding == "same":
+        video = np.pad(video, [(m // 2, m // 2) for m in kernel.shape])
+    out_shape = tuple(n - m + 1 for n, m in zip(video.shape, kernel.shape))
+    return sliding_accumulate_reference(video, kernel.ravel(), np.ndindex(kernel.shape),
+                                        out_shape, counter)
+
+
 # Reference copies of the earlier, allocation-heavy forms of the encoder
 # layers.  The package's rewrites must reproduce them bit for bit.
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from echokit import checkpoint, cli
+from echokit import checkpoint, cli, convops
 from echokit.ef import EfModel, EfModelConfig
 from echokit.errors import ConfigurationError, ShapeError
 from echokit.lvd import LvdModel, LvdModelConfig
@@ -62,6 +62,22 @@ class TestBench:
         assert report.metrics["count_full"] == 27 * 16**3
         assert report.metrics["count_factored"] == 12 * 16**3
 
+    def test_forms_alternate_on_every_repeat(self, monkeypatch):
+        calls = []
+
+        def spy(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(convops, "conv3d_full", spy("full", convops.conv3d_full))
+        monkeypatch.setattr(convops, "conv_factored", spy("factored", convops.conv_factored))
+        result = cli.run_bench((6, 6, 6), (3, 3, 3), repeats=3, padding="same", seed=0)
+        # one counted call of each form, then one timed call of each per repeat
+        assert calls == ["full", "factored"] * 4
+        assert result["wall_full_ms"] > 0 and result["wall_factored_ms"] > 0
+
 
 class TestNumericFlags:
     @pytest.mark.parametrize("argv, message", [
@@ -70,12 +86,16 @@ class TestNumericFlags:
         (["oracle-check", "--trials", "0"], "trials"),
         (["bench", "--video-dims", "8", "8", "8", "--kernel-dims", "3", "3", "3",
           "--repeats", "0"], "repeats"),
+        # checked before the inputs are drawn, which a negative dim would stop
+        (["bench", "--video-dims", "-1", "64", "64"], "video_dims"),
+        (["bench", "--kernel-dims", "7", "-1", "7"], "kernel_dims"),
         (["gradcheck", "--instances", "0"], "instances"),
         # checked before the data is read, so a missing dataset is not reached
         (["train-ef", "--data", "no_such_dataset", "--epochs", "0"], "epochs"),
         (["train-lvd", "--data", "no_such_dataset", "--epochs", "0"], "epochs"),
     ], ids=["oracle_max_kernel_0", "oracle_kernel_above_dim", "oracle_trials_0",
-            "bench_repeats_0", "gradcheck_instances_0", "train_ef_epochs_0",
+            "bench_repeats_0", "bench_video_dim_negative", "bench_kernel_dim_negative",
+            "gradcheck_instances_0", "train_ef_epochs_0",
             "train_lvd_epochs_0"])
     def test_out_of_range_value_writes_failed_report(self, tmp_path, argv, message):
         out = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from oracles import (
     conv1d_loops,
     conv2d_loops,
     conv3d_loops,
+    convolve_reference,
     depthwise_separable_loops,
-    sliding_accumulate_reference,
 )
 
 
@@ -195,13 +196,21 @@ SLAB_OPS = {
 }
 
 
+def reference(op, video, kernel, padding, counter=None):
+    """*op*'s output through oracles.convolve_reference, stage by stage;
+    a stage is the full form on its unit-axis kernel."""
+    if op is conv_factored:
+        spatial = reference(conv_spatial, video, kernel.spatial, padding, counter)
+        return reference(conv_temporal, spatial, kernel.temporal, padding, counter)
+    unit_axis = {conv_spatial: 2, conv_temporal: (0, 1), conv3d_full: ()}[op]
+    return convolve_reference(video, np.expand_dims(kernel, unit_axis), padding, counter)
+
+
 def reference_and_swept(monkeypatch, op, video, kernel, padding, slab_bytes=None):
     """Outputs and counters of *op* through the unblocked reference and
     through the slab sweep; *slab_bytes* of None keeps SLAB_BYTES."""
-    with monkeypatch.context() as m:
-        m.setattr(convops, "sliding_accumulate", sliding_accumulate_reference)
-        ref_counter = OpCounter()
-        expected = op(video, kernel, padding, ref_counter)
+    ref_counter = OpCounter()
+    expected = reference(op, video, kernel, padding, ref_counter)
     if slab_bytes is not None:
         monkeypatch.setattr(convops, "SLAB_BYTES", slab_bytes(expected[0].nbytes))
     counter = OpCounter()
@@ -387,6 +396,51 @@ class TestThreadedSweep:
         assert not any(thread.is_alive() for thread in thread_starts)
         with np.errstate(over="ignore"):
             assert np.isinf(conv3d_full(video, np.full((1, 1, 1), 1e10), "same")[-1]).all()
+
+
+# Each form's kernel shape, and the video columns that get the large (or
+# tiny) value; the kernel's first tap gets the other one.  No kept output
+# multiplies the two, but the positions past each output row that the flat
+# windows compute and drop do.
+DROPPED_CASES = {
+    "spatial": (conv_spatial, (1, 3), [(slice(None), -1)]),
+    "temporal": (conv_temporal, (3,), [(..., -1)]),
+    "full": (conv3d_full, (1, 3, 3), [(slice(None), -1), (..., -1)]),
+}
+
+
+class TestDroppedPositions:
+    """Positions that a slab computes and drops never warn or raise; kept
+    ones warn and raise under the caller's errstate."""
+
+    @pytest.mark.parametrize("tiny", [False, True], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("name", sorted(DROPPED_CASES))
+    def test_stay_silent(self, name, padding, tiny):
+        op, kernel_dims, columns = DROPPED_CASES[name]
+        value, tap = (1e-300, 1e-10) if tiny else (1e300, 1e10)
+        video = np.ones((6, 5, 8))
+        for column in columns:
+            video[column] = value
+        kernel = np.ones(kernel_dims)
+        kernel.flat[0] = tap
+        want = reference(op, video, kernel, padding)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = op(video, kernel, padding)
+            with np.errstate(all="raise"):
+                trapped = op(video, kernel, padding)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == trapped.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(DROPPED_CASES))
+    def test_kept_underflow_warns_and_raises(self, name):
+        op, kernel_dims, _ = DROPPED_CASES[name]
+        video, kernel = np.full((6, 5, 8), 1e-300), np.full(kernel_dims, 1e-10)
+        with np.errstate(under="warn"), pytest.warns(RuntimeWarning, match="underflow"):
+            op(video, kernel, "same")
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            op(video, kernel, "same")
 
 
 # Shape, then the widths of its trailing axes; zero widths, unequal widths
