@@ -3,11 +3,17 @@ and short-lived threads for numpy work that releases the interpreter lock.
 
 Evaluation predicts every sample on its own, and a training step's
 gradient is a sum of per-sample terms, so both can be split across forked
-processes without changing a bit.  A convolution's output slabs are
-independent of each other, so ``threaded_runs`` sweeps contiguous runs
-of them in threads that write straight into one shared output.  One rule,
-``_n_cpus``, says how many CPUs a piece of work may use: one inside a
-forked map or worker, and one while a second thread is alive.
+processes without changing a bit.  One private core, ``_Workers``, forks
+the workers of both: each inherits its work by fork, answers pickled
+requests through its own pair of pipes, can share one ``mmap`` slot of
+floats with the caller, and is reaped by one ``close``.  ``map_in_order``
+sends each worker a block of items; ``GradientPool`` keeps its workers for
+a whole training run and passes parameters and gradient terms through the
+slots.  A convolution's output slabs are independent of each other, so
+``threaded_runs`` sweeps contiguous runs of them in threads that write
+straight into one shared output.  One rule, ``_n_cpus``, says how many
+CPUs a piece of work may use: one inside a forked map or worker, and one
+while a second thread is alive.
 """
 
 from __future__ import annotations
@@ -40,9 +46,6 @@ MIN_SAMPLES_PER_GRAD_WORKER = 8
 # True in a process while it runs a forked map, and in every worker, so a
 # nested map runs in process instead of forking again.
 _in_map = False
-
-_GO = b"\x01"  # one byte on a gradient worker's pipes: "the next term" / "it is in the slot"
-
 
 def _n_cpus() -> int:
     """CPUs this process may spread work over: 1 inside a map or worker, and
@@ -116,98 +119,14 @@ def _flush_stdio() -> None:
             stream.flush()
 
 
-def map_in_order(fn, items) -> list:
-    """``[fn(x) for x in items]``, computed on every usable CPU.
-
-    The items are cut into contiguous blocks of at least
-    ``MIN_ITEMS_PER_WORKER``, one per CPU this process may run on.  This
-    process maps the first block, and one forked child maps each other
-    block and sends its results back through a pipe.  *fn* and the items
-    reach the children by fork, not by pickling, so *fn* may be a lambda
-    and sees every module binding the caller patched; its results must
-    pickle.
-
-    If *fn* raises, the exception of the first failing block is raised,
-    which is the one the list comprehension would raise.  The map runs in
-    process when there is one usable CPU or too few items, on a platform
-    without ``os.fork``, while a second thread is alive, or inside another
-    map or worker.  If the system refuses a pipe or a fork, the blocks not
-    yet forked are mapped in process, after the forked ones.
-    """
-    global _in_map
-    items = list(items)
-    n_blocks = _n_blocks(len(items), MIN_ITEMS_PER_WORKER)
-    if n_blocks == 1:
-        return [fn(x) for x in items]
-    bounds = [len(items) * k // n_blocks for k in range(n_blocks + 1)]
-    blocks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    _flush_stdio()
-    pids, reads, unforked = [], [], []
-    _in_map = True
-    try:
-        for k, block in enumerate(blocks[1:], 1):
-            try:
-                read, write = os.pipe()
-            except OSError:
-                unforked = blocks[k:]
-                break
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(fn, block, write)
-            except OSError:
-                os.close(read)
-                unforked = blocks[k:]
-                break
-            finally:
-                os.close(write)  # the child's copy is then the only write end
-            reads.append(read)
-            pids.append(pid)
-        results = [fn(x) for x in blocks[0]]
-        for read, block_start in zip(reads, bounds[1:]):
-            with open(read, "rb", closefd=False) as pipe:
-                reply = pipe.read()
-            if not reply:
-                raise ChildProcessError(f"the worker mapping items from {block_start} on "
-                                        "ended without a result (killed, or it did not pickle)")
-            ok, value = pickle.loads(reply)
-            if not ok:
-                raise value
-            results.extend(value)
-        return results + [fn(x) for block in unforked for x in block]
-    finally:
-        _in_map = False
-        for read in reads:  # a child still writing then fails fast and exits
-            os.close(read)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _work(fn, block, write: int) -> None:
-    """A child's whole life: map *block*, send the results or the exception
-    through *write*, and exit without returning into the caller's frames
-    or running its exit handlers."""
-    try:
-        try:
-            reply = (True, [fn(x) for x in block])
-        except BaseException as exc:  # re-raised by the parent
-            reply = (False, exc)
-        reply = pickle.dumps(reply)  # all or nothing: no truncated reply
-        with open(write, "wb") as pipe:
-            pipe.write(reply)
-        _flush_stdio()
-    finally:
-        os._exit(0)
-
-
 def _write(fd: int, data: bytes) -> None:
     while data:
         data = data[os.write(fd, data):]
 
 
-def _read(fd: int, size: int) -> bytes:
+def _read(fd: int, size: int) -> bytearray:
     """*size* bytes from *fd*, or fewer if its writers all closed it first."""
-    data = b""
+    data = bytearray()
     while len(data) < size and (chunk := os.read(fd, size - len(data))):
         data += chunk
     return data
@@ -227,24 +146,155 @@ def _receive(fd: int):
     return pickle.loads(data) if data and len(data) == size else None
 
 
+class _Workers:
+    """Up to *n* forked workers, each answering requests with
+    ``serve(request, slot)``.
+
+    Workers inherit *serve*, and all it reaches, by fork; only requests and
+    replies are pickled.  Each worker has a request pipe, a reply pipe and
+    one anonymous ``mmap`` slot of *slot_size* float64 values that it shares
+    with the caller (``slots[k]``).  If the system refuses a slot, a pipe or
+    a fork, the workers already forked are kept.  ``close`` closes every
+    pipe, so each worker reads EOF or fails its write and exits, then reaps
+    every worker.
+    """
+
+    def __init__(self, serve, n: int, slot_size: int = 0):
+        self._serve = serve
+        self.slots: list[np.ndarray] = []
+        self._pids: list[int] = []
+        self._requests: list[int] = []  # the caller's ends
+        self._replies: list[int] = []
+        if n:
+            _flush_stdio()
+        try:
+            while len(self._pids) < n and self._fork(slot_size):
+                pass
+        except BaseException:
+            self.close()
+            raise
+
+    def __len__(self) -> int:
+        return len(self._pids)
+
+    def _fork(self, slot_size: int) -> bool:
+        """Fork one more worker; False if the system refused the slot, a
+        pipe or the fork."""
+        fds = []
+        try:
+            slot = np.frombuffer(mmap.mmap(-1, 8 * max(slot_size, 1)), dtype=np.float64)[:slot_size]
+            fds += os.pipe()  # requests: caller -> worker
+            fds += os.pipe()  # replies: worker -> caller
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return False
+        requests_read, requests, replies, replies_write = fds
+        if pid == 0:
+            # The caller's ends, also those of earlier workers: a worker that
+            # kept one open would keep that worker from ever reading EOF.
+            self._loop(requests_read, replies_write, slot,
+                       [requests, replies, *self._requests, *self._replies])
+        os.close(requests_read)
+        os.close(replies_write)
+        self.slots.append(slot)
+        self._pids.append(pid)
+        self._requests.append(requests)
+        self._replies.append(replies)
+        return True
+
+    def _loop(self, requests: int, replies: int, slot: np.ndarray, inherited: list[int]) -> None:
+        """A worker's whole life: reply to each request with (True, the
+        result) or (False, the exception) until the caller closes its
+        request pipe, then exit without returning into the caller's frames
+        or running its exit handlers."""
+        global _in_map
+        try:
+            _in_map = True
+            for fd in inherited:
+                os.close(fd)
+            while (request := _receive(requests)) is not None:
+                try:
+                    reply = _frame((True, self._serve(request, slot)))
+                except BaseException as exc:  # re-raised by the caller
+                    reply = _frame((False, exc))
+                _flush_stdio()
+                _write(replies, reply)
+        finally:
+            os._exit(0)
+
+    def ask(self, k: int, request) -> None:
+        """Send worker *k* one request; ``answer`` reads its reply."""
+        try:
+            _write(self._requests[k], _frame(request))
+        except BrokenPipeError:  # the worker has ended: its reply is missing
+            pass
+
+    def answer(self, k: int, what: str):
+        """Worker *k*'s reply to its last request.  The worker's exception
+        is raised as it was raised there; a worker that ended without a
+        reply raises ChildProcessError, which names it as the worker *what*."""
+        reply = _receive(self._replies[k])
+        if reply is None:
+            raise ChildProcessError(f"the worker {what} ended without a result "
+                                    "(killed, or its exception did not pickle)")
+        ok, value = reply
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        fds, pids = self._requests + self._replies, self._pids
+        self.slots, self._pids, self._requests, self._replies = [], [], [], []
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def map_in_order(fn, items) -> list:
+    """``[fn(x) for x in items]``, computed on every usable CPU.
+
+    The items are cut into contiguous blocks of at least
+    ``MIN_ITEMS_PER_WORKER``, one per CPU this process may run on.  One
+    forked worker maps each block but the first, which this process maps,
+    and sends its results back through a pipe.  *fn* and the items reach
+    the workers by fork, not by pickling, so *fn* may be a lambda and sees
+    every module binding the caller patched; its results must pickle, or
+    the pickling error is raised as *fn*'s own.
+
+    If *fn* raises, the exception of the first failing block is raised,
+    which is the one the list comprehension would raise.  The map runs in
+    process when there is one usable CPU or too few items, on a platform
+    without ``os.fork``, while a second thread is alive, or inside another
+    map or worker.  If the system refuses a pipe or a fork, the blocks that
+    got no worker are mapped in process, after the forked ones.
+    """
+    global _in_map
+    items = list(items)
+    n_blocks = _n_blocks(len(items), MIN_ITEMS_PER_WORKER)
+    if n_blocks == 1:
+        return [fn(x) for x in items]
+    bounds = [len(items) * k // n_blocks for k in range(n_blocks + 1)]
+    workers = _Workers(lambda block, slot: [fn(x) for x in items[block]], n_blocks - 1)
+    try:
+        for k in range(len(workers)):
+            workers.ask(k, slice(bounds[k + 1], bounds[k + 2]))
+        _in_map = True
+        results = [fn(x) for x in items[: bounds[1]]]
+        for k in range(len(workers)):
+            results.extend(workers.answer(k, f"mapping items from {bounds[k + 1]} on"))
+        return results + [fn(x) for x in items[bounds[len(workers) + 1]:]]
+    finally:
+        _in_map = False
+        workers.close()
+
+
 def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     """*flat* cut into consecutive views shaped as the arrays of *like*."""
     bounds = np.cumsum([0] + [a.size for a in like])
     return [flat[a:b].reshape(x.shape) for a, b, x in zip(bounds, bounds[1:], like)]
-
-
-class _Worker:
-    """The caller's side of one gradient worker: its pid, the caller's
-    pipe ends, and the shared slot as one view per parameter."""
-
-    def __init__(self, pid: int, requests: int, replies: int, slot: list[np.ndarray]):
-        self.pid, self.requests, self.replies, self.slot = pid, requests, replies, slot
-
-    def tell(self, data: bytes) -> None:
-        try:
-            _write(self.requests, data)
-        except BrokenPipeError:
-            raise ChildProcessError(f"gradient worker {self.pid} has ended") from None
 
 
 class GradientPool:
@@ -274,94 +324,42 @@ class GradientPool:
 
     def __init__(self, term, items, params: list[np.ndarray], grads: list[np.ndarray],
                  batch_size: int):
-        self._term, self._items, self._params, self._grads = term, items, params, grads
+        self._params = params
         self._index = {id(item): i for i, item in enumerate(items)}
-        self._workers: list[_Worker] = []
-        self._active: list[tuple[_Worker, int, int]] = []  # this step's workers and blocks
+        self._active: list[tuple[int, int, int]] = []  # this step's workers and blocks
+        terms = np.empty((0, 0))  # a worker's terms of its block, one per row
+
+        def serve(request, slot: np.ndarray):
+            """A worker's reply to a step, ``(n, indices)``: the parameters
+            are read from *slot*, the block's terms computed, its loss values
+            returned and term 0 put in *slot*.  To ``j``: term j put in *slot*.
+            It refers to no pool: in a reference cycle, a pool would keep
+            its slots mapped until a full collection."""
+            nonlocal terms
+            if isinstance(request, int):
+                slot[...] = terms[request]
+                return None
+            n, indices = request
+            for p, s in zip(params, _views(slot, params)):
+                p[...] = s
+            if len(terms) < len(indices):
+                terms = np.empty((len(indices), slot.size))
+            values = []
+            for row, i in zip(terms, indices):
+                values.append(term(items[i], n))
+                np.concatenate([g.ravel() for g in grads], out=row)
+            slot[...] = terms[0]
+            return values
+
         n_workers = _n_blocks(batch_size, MIN_SAMPLES_PER_GRAD_WORKER) - 1
-        if n_workers:
-            _flush_stdio()
-        try:
-            while len(self._workers) < n_workers and self._fork():
-                pass
-        except BaseException:
-            self.close()
-            raise
+        self._workers = _Workers(serve, n_workers, sum(p.size for p in params))
+        self._slots = [_views(slot, params) for slot in self._workers.slots]
 
     def __enter__(self) -> GradientPool:
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _fork(self) -> bool:
-        """Fork one more worker; False if the system refused the slot, a
-        pipe or the fork."""
-        size = sum(p.size for p in self._params)
-        fds = []
-        try:
-            flat = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=np.float64)[:size]
-            fds += os.pipe()  # requests: caller -> worker
-            fds += os.pipe()  # replies: worker -> caller
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            return False
-        requests_read, requests, replies, replies_write = fds
-        if pid == 0:
-            # The caller's ends, also those of earlier workers: a worker that
-            # kept one open would keep that worker from ever reading EOF.
-            inherited = [requests, replies] + [fd for w in self._workers
-                                               for fd in (w.requests, w.replies)]
-            self._serve(requests_read, replies_write, flat, inherited)
-        os.close(requests_read)
-        os.close(replies_write)
-        self._workers.append(_Worker(pid, requests, replies, _views(flat, self._params)))
-        return True
-
-    def _serve(self, requests: int, replies: int, flat: np.ndarray, inherited: list[int]) -> None:
-        """A worker's whole life: answer steps until the caller closes its
-        request pipe, then exit without returning into the caller's frames
-        or running its exit handlers.
-
-        A step's reply is one message, (True, the block's loss values) with
-        term 0 in the slot, or (False, the exception); each later term is
-        written into the slot after a go byte from the caller and announced
-        by one in return.
-        """
-        global _in_map
-        try:
-            _in_map = True
-            for fd in inherited:
-                os.close(fd)
-            slot = _views(flat, self._params)
-            terms = np.empty((0, flat.size))
-            while (request := _receive(requests)) is not None:
-                n, indices = request
-                for p, s in zip(self._params, slot):
-                    p[...] = s
-                if len(terms) < len(indices):
-                    terms = np.empty((len(indices), flat.size))
-                try:
-                    values = []
-                    for row, i in zip(terms, indices):
-                        values.append(self._term(self._items[i], n))
-                        np.concatenate([g.ravel() for g in self._grads], out=row)
-                    reply = (True, values)
-                except BaseException as exc:  # re-raised by the caller
-                    _write(replies, _frame((False, exc)))
-                    continue
-                for j, row in enumerate(terms[: len(indices)]):
-                    if j and _read(requests, 1) != _GO:
-                        return
-                    flat[...] = row
-                    if j:
-                        _write(replies, _GO)
-                    else:
-                        _write(replies, _frame(reply))
-        finally:
-            os._exit(0)
 
     def start(self, batch, n: int) -> int:
         """Send each worker the current parameters and its block of *batch*,
@@ -378,11 +376,11 @@ class GradientPool:
         n_blocks = max(1, min(len(self._workers) + 1, n // MIN_SAMPLES_PER_GRAD_WORKER))
         bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
         try:
-            for worker, a, b in zip(self._workers, bounds[1:], bounds[2:]):
-                for s, p in zip(worker.slot, self._params):
+            for k, (a, b) in enumerate(zip(bounds[1:], bounds[2:])):
+                for s, p in zip(self._slots[k], self._params):
                     s[...] = p
-                self._active.append((worker, a, b))
-                worker.tell(_frame((n, [self._index[id(item)] for item in batch[a:b]])))
+                self._active.append((k, a, b))
+                self._workers.ask(k, (n, [self._index[id(item)] for item in batch[a:b]]))
         except BaseException:
             self.close()
             raise
@@ -397,23 +395,15 @@ class GradientPool:
         """
         values = []
         try:
-            for worker, a, b in self._active:
-                reply = _receive(worker.replies)
-                if reply is None:
-                    raise ChildProcessError(f"the gradient worker for samples from {a} on "
-                                            "ended without a result")
-                ok, block_values = reply
-                if not ok:
-                    raise block_values
+            for k, a, b in self._active:
+                what = f"for samples from {a} on"
+                values.extend(self._workers.answer(k, what))
                 for j in range(b - a):
                     if j:
-                        worker.tell(_GO)
-                        if _read(worker.replies, 1) != _GO:
-                            raise ChildProcessError(f"the gradient worker for samples from "
-                                                    f"{a} on ended at sample {a + j}")
-                    for g, term in zip(grads, worker.slot):
+                        self._workers.ask(k, j)
+                        self._workers.answer(k, what)
+                    for g, term in zip(grads, self._slots[k]):
                         g += term
-                values.extend(block_values)
         except BaseException:
             self.close()
             raise
@@ -423,9 +413,5 @@ class GradientPool:
     def close(self) -> None:
         """Close every pipe, so that each worker reads EOF or fails its
         write and exits, then reap every worker."""
-        workers, self._workers, self._active = self._workers, [], []
-        for worker in workers:
-            os.close(worker.requests)
-            os.close(worker.replies)
-        for worker in workers:
-            os.waitpid(worker.pid, 0)
+        self._active, self._slots = [], []
+        self._workers.close()

@@ -2,10 +2,13 @@
 errors and output, and leaves no child behind."""
 
 import errno
+import gc
 import os
+import pickle
 import signal
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -52,36 +55,59 @@ def count_forks(monkeypatch, refuse_from=None):
     return pids
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Fork for any list of two or more items, as on a 2-CPU host; returns
-    the pids of the children forked."""
-    monkeypatch.setattr(parallel, "MIN_ITEMS_PER_WORKER", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return count_forks(monkeypatch)
-
-
-@pytest.fixture(params=[2, 3], ids=["2cpus", "3cpus"])
-def grad_forks(request, monkeypatch):
-    """A gradient worker for every CPU beyond the caller's, on a 2- or 3-CPU
-    host, at one sample each; returns the pids of the children forked.
-
-    The test runs under an alarm, so a shutdown that hangs (a worker holding
-    another's pipe open) fails it instead of stalling the suite.
-    """
-    monkeypatch.setattr(parallel, "MIN_SAMPLES_PER_GRAD_WORKER", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
-
+def under_alarm(pids):
+    """Yield *pids* to a test that runs under an alarm, so a shutdown that
+    hangs (a worker holding another's pipe open) fails it instead of
+    stalling the suite."""
     def hung(signum, frame):
         raise TimeoutError("the forked run did not finish within 60 s")
 
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        yield count_forks(monkeypatch)
+        yield pids
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Fork for any list of two or more items, as on a 2-CPU host, under an
+    alarm; returns the pids of the children forked."""
+    monkeypatch.setattr(parallel, "MIN_ITEMS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield from under_alarm(count_forks(monkeypatch))
+
+
+@pytest.fixture(params=[2, 3], ids=["2cpus", "3cpus"])
+def grad_forks(request, monkeypatch):
+    """A gradient worker for every CPU beyond the caller's, on a 2- or 3-CPU
+    host, at one sample each, under an alarm; returns the pids of the
+    children forked."""
+    monkeypatch.setattr(parallel, "MIN_SAMPLES_PER_GRAD_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    yield from under_alarm(count_forks(monkeypatch))
+
+
+def refuse(monkeypatch, call, refuse_from):
+    """Make os.*call* ("fork" or "pipe") raise from the call that fork
+    number *refuse_from* needs on; returns the pids of the children forked.
+
+    A pipe is refused only once refuse_from - 1 children exist, so the
+    refusal does not depend on how many pipes a worker takes."""
+    if call == "fork":
+        return count_forks(monkeypatch, refuse_from)
+    pids = count_forks(monkeypatch)
+    real_pipe = os.pipe
+
+    def refusing_pipe():
+        if len(pids) + 1 >= refuse_from:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_pipe()
+
+    monkeypatch.setattr(os, "pipe", refusing_pipe)
+    return pids
 
 
 def n_workers():
@@ -100,6 +126,15 @@ def in_process(fn, *args):
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    """This process's open file descriptors, or None where /proc/self/fd
+    is missing, which makes a before-and-after comparison check nothing."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
 
 
 def square(x):
@@ -154,9 +189,11 @@ class TestForkedResults:
         assert len(forks) == 1
 
     def test_results_in_item_order(self, forks):
+        fds = open_fds()
         assert parallel.map_in_order(square, range(11)) == [x * x for x in range(11)]
         assert len(forks) == 1
         assert_no_children()
+        assert open_fds() == fds
 
 
 class TestForkedErrors:
@@ -177,10 +214,12 @@ class TestForkedErrors:
                 raise DomainError("first item")
             return x
 
+        fds = open_fds()
         with pytest.raises(DomainError, match="first item"):
             parallel.map_in_order(fail_first, range(6))
         assert len(forks) == 1
         assert_no_children()
+        assert open_fds() == fds
 
     def test_worker_ending_without_a_result(self, forks):
         def die_in_block_1(x):
@@ -190,6 +229,15 @@ class TestForkedErrors:
 
         with pytest.raises(ChildProcessError, match="items from 3 on ended without a result"):
             parallel.map_in_order(die_in_block_1, range(6))
+        assert_no_children()
+
+    def test_result_that_does_not_pickle(self, forks):
+        def unpicklable_in_block_1(x):
+            return (lambda: x) if x == 4 else x
+
+        with pytest.raises((AttributeError, pickle.PicklingError), match="pickle local object"):
+            parallel.map_in_order(unpicklable_in_block_1, range(6))
+        assert len(forks) == 1
         assert_no_children()
 
     def test_planted_prediction_error_in_block_1(self, forks, monkeypatch):
@@ -288,10 +336,12 @@ def test_nested_map_runs_in_process(forks):
 def test_refused_fork_maps_the_rest_in_process(monkeypatch):
     monkeypatch.setattr(parallel, "MIN_ITEMS_PER_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    pids = count_forks(monkeypatch, refuse_from=2)
-    assert parallel.map_in_order(square, range(9)) == [x * x for x in range(9)]
-    assert len(pids) == 1
-    assert_no_children()
+    for refused in ("fork", "pipe"):
+        with monkeypatch.context() as mp:
+            pids = refuse(mp, refused, refuse_from=2)
+            assert parallel.map_in_order(square, range(9)) == [x * x for x in range(9)]
+        assert len(pids) == 1
+        assert_no_children()
 
 
 # Training: forked gradient steps give in-process fit's history, best epoch
@@ -389,14 +439,31 @@ class TestForkedTraining:
         assert len(pids) == 1
         assert_no_children()
 
-    @pytest.mark.parametrize("refuse_from", [1, 2])
-    def test_refused_fork_trains_with_the_workers_it_got(self, monkeypatch, refuse_from):
+    @pytest.mark.parametrize("refuse_from, refused", [(1, "fork"), (2, "fork"), (1, "pipe"), (2, "pipe")],
+                             ids=["1", "2", "1-pipe", "2-pipe"])
+    def test_refused_fork_trains_with_the_workers_it_got(self, monkeypatch, refuse_from, refused):
         monkeypatch.setattr(parallel, "MIN_SAMPLES_PER_GRAD_WORKER", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         expected = in_process(tiny_run, "mse")
-        pids = count_forks(monkeypatch, refuse_from)
+        pids = refuse(monkeypatch, refused, refuse_from)
         assert tiny_run("mse") == expected
         assert len(pids) == refuse_from - 1
+        assert_no_children()
+
+
+    def test_closed_pool_freed_without_the_cycle_collector(self, grad_forks):
+        # A pool in a reference cycle would keep its workers' slots mapped
+        # until a full collection, and peak RSS would grow with every fit.
+        gc.disable()
+        try:
+            with parallel.GradientPool(lambda item, n: 0.0, [0, 1], [np.zeros(2)],
+                                       [np.zeros(2)], 2) as pool:
+                freed = weakref.ref(pool)
+            del pool
+            assert freed() is None
+        finally:
+            gc.enable()
+        assert len(grad_forks) == 1
         assert_no_children()
 
 
@@ -444,14 +511,18 @@ class TestForkedTrainingErrors:
             assert os.getpid() != caller, "the planted sample ran in the calling process"
             os.kill(os.getpid(), signal.SIGKILL)
 
+        fds = open_fds()
         with pytest.raises(ChildProcessError):
             tiny_run(planted([3], die))
         assert_no_children()
+        assert open_fds() == fds
 
     def test_normal_return_reaps_workers(self, grad_forks):
+        fds = open_fds()
         tiny_run("mse")
         assert len(grad_forks) == n_workers()
         assert_no_children()
+        assert open_fds() == fds
 
 
 # Threaded runs: the caller's run 0 and one short-lived thread per other run.
