@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, ShapeError, ValidationError
 
 DEFAULT_MIN_PROMINENCE = 0.1
+_MASK_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -88,19 +89,26 @@ class BeatClip:
         return self.end_frame - self.start_frame + 1
 
 
-def _check_mask(mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask)
-    if not np.isin(mask, (0, 1)).all():
-        raise ValidationError("mask values must be exactly 0 or 1")
-    return mask
-
-
 def area_signal(masks: np.ndarray, frame_rate: float) -> AreaSignal:
-    """Per-frame mask areas of an (nx, ny, nt) binary mask sequence."""
-    masks = _check_mask(masks)
-    if masks.ndim != 3:
+    """Per-frame mask areas of an (nx, ny, nt) binary mask sequence.
+
+    The 0/1 check and the count run over blocks of whole x-rows, about
+    _MASK_BLOCK_BYTES each (one row where a row is larger), so their
+    temporaries do not grow with the recording's length; the counts are
+    the same integers as one whole-array pass.
+    """
+    masks = np.asarray(masks)
+    rows = masks if masks.ndim else masks[None]
+    step = max(1, _MASK_BLOCK_BYTES // max(1, rows[:1].nbytes))
+    counts = np.zeros(masks.shape[2:], dtype=np.int64) if masks.ndim == 3 else None
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        if not np.isin(block, (0, 1)).all():
+            raise ValidationError("mask values must be exactly 0 or 1")
+        if counts is not None:
+            counts += np.count_nonzero(block, axis=(0, 1))
+    if counts is None:
         raise ShapeError(f"mask sequence must be (nx, ny, nt), got shape {masks.shape}")
-    counts = np.count_nonzero(masks, axis=(0, 1)).astype(np.int64)
     return AreaSignal(values=counts, frame_rate=frame_rate)
 
 

@@ -77,7 +77,9 @@ contiguous runs of them at once, one run per usable CPU: the caller
 sweeps run 0 and a short-lived thread each other run, each with its own
 buffers, all writing into the one output (parallel.threaded_runs).
 numpy releases the interpreter lock inside each tap's multiply and add
-over a slab.  A call of one slab, as every nn layer call at the EF and
+over a slab, but each thread must take it back between calls, and those
+hand-offs cost each call microseconds, so two CPUs gain the spatial stage
+well under 2x.  A call of one slab, as every nn layer call at the EF and
 LVD model shapes is, runs in the caller without touching threads.
 """
 

@@ -3,6 +3,10 @@
 Layout: magic bytes ``CTR1``, one dtype byte (1 = float32, 2 = float64),
 one rank byte, ``rank`` little-endian uint32 dims, then the row-major
 little-endian payload.  Round-trips are bit-exact for both dtypes.
+
+The payload moves between file and array once: the writer hands the
+stream a byte view of the array's own memory, and the reader reads into
+the result array, so neither holds a payload-sized copy.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ MAGIC = b"CTR1"
 _DTYPE_CODES = {np.dtype("<f4"): 1, np.dtype("<f8"): 2}
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _INT64_MAX = np.iinfo(np.int64).max
+# read_finite_tensor() checks this many values at a time, so its boolean
+# temporary stays 128 KB however large the payload is.
+_FINITE_BLOCK_ITEMS = 1 << 17
 
 
 class TensorFormatError(EchokitError, IOError):
@@ -32,13 +39,15 @@ def write_tensor_stream(stream: BinaryIO, array: np.ndarray) -> None:
     array = np.asarray(array)
     dtype = np.dtype("<f4") if array.dtype == np.float32 else np.dtype("<f8")
     code = _DTYPE_CODES[dtype]
-    data = np.asarray(array, dtype=dtype, order="C")  # ascontiguousarray would make rank 0 rank 1
+    # Copies only input that is not already C-ordered in the stored dtype;
+    # ascontiguousarray would make rank 0 rank 1.
+    data = np.asarray(array, dtype=dtype, order="C")
     if data.ndim > 255:
         raise TensorFormatError(f"rank {data.ndim} exceeds the 1-byte rank field")
     stream.write(MAGIC)
     stream.write(struct.pack("<BB", code, data.ndim))
     stream.write(struct.pack(f"<{data.ndim}I", *data.shape))
-    stream.write(data.tobytes(order="C"))
+    stream.write(memoryview(data.reshape(-1)).cast("B"))
 
 
 def read_tensor_stream(stream: BinaryIO) -> np.ndarray:
@@ -116,6 +125,8 @@ def read_finite_tensor(path) -> np.ndarray:
     """read_tensor() for a video, clip or frame to compute on: a NaN or
     infinite value raises ValidationError naming the file."""
     array = read_tensor(path)
-    if not np.isfinite(array).all():
-        raise ValidationError(f"{path}: holds NaN or infinite values")
+    flat = array.reshape(-1)
+    for start in range(0, flat.size, _FINITE_BLOCK_ITEMS):
+        if not np.isfinite(flat[start : start + _FINITE_BLOCK_ITEMS]).all():
+            raise ValidationError(f"{path}: holds NaN or infinite values")
     return array

@@ -9,6 +9,7 @@ does not re-implement; what it pins down is the loop around them.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -140,6 +141,17 @@ def welford(values):
         mean += delta / n
         m2 += delta * (v - mean)
     return mean, math.sqrt(m2 / n)
+
+
+def ctr1_record(array):
+    """One CTR1 record, built field by field: b"CTR1", the dtype code (1 for
+    native float32, 2 for every other dtype, stored as float64), the rank,
+    little-endian uint32 dims, then the C-ordered little-endian payload."""
+    array = np.asarray(array)
+    code, dtype = (1, "<f4") if array.dtype == np.dtype("=f4") else (2, "<f8")
+    header = b"CTR1" + struct.pack("<BB", code, array.ndim)
+    header += b"".join(struct.pack("<I", d) for d in array.shape)
+    return header + np.ascontiguousarray(array, dtype).tobytes()
 
 
 def max_pool2d_loops(x, dout):

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from echokit.beats import (
     extract_beats,
     moving_average,
 )
-from echokit.errors import ConfigurationError, ValidationError
+from echokit.errors import ConfigurationError, ShapeError, ValidationError
 from echokit.synth import EfSceneParams, gen_ef_video
 
 from oracles import beat_pairs_scan, enforce_constraints_scan
@@ -68,6 +69,35 @@ class TestAreaSignal:
         scene = gen_ef_video(EfSceneParams(frame_dims=(32, 32), seed=3))
         signal = area_signal(scene.masks, scene.frame_rate)
         np.testing.assert_array_equal(signal.values, scene.true_areas)
+
+    @staticmethod
+    def long_masks():
+        """16x16x4100 float64 masks, 8.4 MB: sixteen blocks of one x-row."""
+        return (np.random.default_rng(5).random((16, 16, 4100)) < 0.4).astype(np.float64)
+
+    def test_long_masks_count_in_bounded_memory(self):
+        masks = self.long_masks()
+        tracemalloc.start()
+        try:
+            signal = area_signal(masks, frame_rate=50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < masks.nbytes / 16
+        np.testing.assert_array_equal(signal.values, (masks == 1.0).sum(axis=(0, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, 2.0])
+    def test_non_binary_value_in_last_block_rejected(self, bad):
+        masks = self.long_masks()
+        masks[-1, -1, -1] = bad
+        with pytest.raises(ValidationError):
+            area_signal(masks, frame_rate=50.0)
+
+    def test_non_binary_reported_before_wrong_rank(self):
+        with pytest.raises(ValidationError):
+            area_signal(np.full((3, 3), 0.5), frame_rate=50.0)
+        with pytest.raises(ShapeError):
+            area_signal(np.ones((3, 3)), frame_rate=50.0)
 
 
 class TestDetectExtrema:

@@ -135,6 +135,16 @@ class TestSwish:
         x = np.linspace(-3, 3, 13)
         np.testing.assert_allclose(swish(x), x / (1.0 + np.exp(-x)))
 
+    def test_nan_stays_in_place_and_raises_nothing(self):
+        """NaN policy of sigmoid and Swish: a NaN input gives NaN at the same
+        position and nowhere else, with no floating-point error raised.
+        The NaN's sign is left open."""
+        x = np.array([np.nan, -2.0, -np.nan, 0.0, 3.0, np.nan, -800.0, 800.0])
+        nan = np.isnan(x)
+        with np.errstate(all="raise"):
+            for out in (sigmoid(x), swish(x), swish_derivative(x)):
+                np.testing.assert_array_equal(np.isnan(out), nan)
+
 
 class TestGlobalMaxPool:
     def test_single_row_identity(self):

@@ -1,15 +1,21 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from echokit.errors import ValidationError
 from echokit.tensorio import (
     MAGIC,
     TensorFormatError,
+    read_finite_tensor,
     read_tensor,
     read_tensor_stream,
     write_tensor,
+    write_tensor_stream,
 )
+
+from oracles import ctr1_record
 
 
 @pytest.mark.parametrize("shape", [(5,), (3, 4), (4, 4, 6), (2, 3, 4, 5), ()])
@@ -89,3 +95,62 @@ def test_payload_longer_than_stream_rejected_before_reading(tmp_path):
         with pytest.raises(TensorFormatError, match="8000000 bytes, 64 remain"):
             read_tensor_stream(stream)
         assert stream.tell() == len(header)
+
+
+_GRID = np.arange(60, dtype=np.float64).reshape(3, 4, 5) * 1.25 - 7.0
+
+WRITE_INPUTS = {
+    "c_float64": _GRID,
+    "fortran": np.asfortranarray(_GRID),
+    "strided_view": _GRID[::2, 1:, ::-2],
+    "big_endian": _GRID.astype(">f8"),
+    "float32": _GRID.astype(np.float32),
+    "int64": np.arange(-6, 6, dtype=np.int64).reshape(3, 4),
+    "float16": _GRID.astype(np.float16),
+    "rank_0": np.array(-2.5),
+    "empty": np.zeros((2, 0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", WRITE_INPUTS)
+def test_written_bytes_match_oracle(tmp_path, name):
+    array = WRITE_INPUTS[name]
+    stream = io.BytesIO()
+    write_tensor_stream(stream, array)
+    assert stream.getvalue() == ctr1_record(array)
+    write_tensor(tmp_path / "t.ctr", array)
+    assert (tmp_path / "t.ctr").read_bytes() == ctr1_record(array)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_holds_no_payload_copy(tmp_path):
+    array = np.random.default_rng(2).standard_normal(2**18)  # 2 MB
+    peak = _traced_peak(lambda: write_tensor(tmp_path / "t.ctr", array))
+    assert peak < array.nbytes / 8
+    assert (tmp_path / "t.ctr").read_bytes() == ctr1_record(array)
+
+
+def test_finite_check_runs_in_bounded_blocks(tmp_path):
+    array = np.random.default_rng(3).standard_normal((64, 64, 128))  # 4 MB
+    write_tensor(tmp_path / "t.ctr", array)
+    peak = _traced_peak(lambda: read_finite_tensor(tmp_path / "t.ctr"))
+    assert peak - array.nbytes < array.nbytes / 16
+    assert read_finite_tensor(tmp_path / "t.ctr").tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_in_last_block_rejected(tmp_path, bad):
+    array = np.zeros((64, 64, 128))  # four 1 MB blocks
+    array[-1, -1, -1] = bad
+    path = tmp_path / "t.ctr"
+    write_tensor(path, array)
+    with pytest.raises(ValidationError, match=f"{path}: holds NaN or infinite values"):
+        read_finite_tensor(path)
