@@ -78,7 +78,7 @@ def _layer_specs(graph: ModelGraph) -> list[dict]:
 def load_manifest(path) -> dict:
     path = Path(path)
     manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise InputNotFoundError(f"missing checkpoint manifest: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -92,7 +92,7 @@ def load_manifest(path) -> dict:
 def load_params_into(path, graph: ModelGraph) -> None:
     """Read params.ctr into an already-built graph, checking shapes."""
     params_path = Path(path) / "params.ctr"
-    if not params_path.exists():
+    if not params_path.is_file():
         raise InputNotFoundError(f"missing checkpoint parameters: {params_path}")
     params = graph.params()
     with open(params_path, "rb") as fh:
@@ -131,7 +131,7 @@ def load_model(path, kind: str):
         )
     try:
         config = config_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()})
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"checkpoint at {path}: bad model_config ({exc})") from exc
     model = model_cls.build(config)
     stored = manifest.get("layers")

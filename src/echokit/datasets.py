@@ -17,7 +17,7 @@ from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
-from .beats import area_signal, detect_extrema, extract_beats
+from .beats import AreaSignal, detect_extrema, extract_beats
 from .ef import EF_LABEL_HEADER, EfSample
 from .errors import ConfigurationError, InputNotFoundError
 from .lvd import LVD_LABEL_HEADER, LvdSample
@@ -26,10 +26,14 @@ from .tensorio import write_tensor
 
 
 def build_ef_samples(spec: EfDatasetSpec) -> list[EfSample]:
-    """Beat clips of each video via the detection pipeline, labeled with its EF."""
+    """Beat clips of each video via the detection pipeline, labeled with its EF.
+
+    The area signal is the generator's own pixel counts of its 0/1 masks,
+    the integers beats.area_signal would count from them.
+    """
     samples = []
     for i, scene in enumerate(generate_ef_scenes(spec)):
-        extrema = detect_extrema(area_signal(scene.masks, scene.frame_rate))
+        extrema = detect_extrema(AreaSignal(scene.true_areas, scene.frame_rate))
         samples.extend(
             EfSample(clip=c, ef_true=scene.ef_true, video_id=f"video_{i:04d}")
             for c in extract_beats(scene.video, extrema)
@@ -98,13 +102,13 @@ def read_labels(path: Path, header, numeric) -> list[dict]:
     """The rows of a ``labels.csv`` with *header*, as dicts.
 
     The fields named in *numeric* become floats.  Blank lines are skipped.
-    A missing file raises InputNotFoundError; bytes that are not UTF-8, a
-    field the csv module rejects, a different header, a row without
-    exactly one value per column, a value in a *numeric* field that is not
-    a finite number, or no rows at all raise ConfigurationError naming the
-    file and, for a row, its line.
+    A missing file, or a directory in its place, raises InputNotFoundError;
+    bytes that are not UTF-8, a field the csv module rejects, a different
+    header, a row without exactly one value per column, a value in a
+    *numeric* field that is not a finite number, or no rows at all raise
+    ConfigurationError naming the file and, for a row, its line.
     """
-    if not path.exists():
+    if not path.is_file():
         raise InputNotFoundError(f"missing labels file: {path}")
     data = path.read_bytes()
     try:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .beats import BeatClip
 from .convops import check_padding
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, check_int_fields
 from .nn import (
     Conv1d,
     Dense,
@@ -87,6 +87,7 @@ class EfModelConfig:
     seed: int = 42
 
     def __post_init__(self):
+        check_int_fields(self, frame_shape=2, encoder_dim=None, seed=None)
         if self.encoder_dim < 4:
             raise ConfigurationError(f"encoder_dim must be >= 4, got {self.encoder_dim}")
         check_padding(self.padding, EfModel.HEAD_KERNELS)
@@ -231,7 +232,8 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
 
     Expects ``labels.csv`` with header ``clip_path,ef_percent``; paths are
     relative to the directory.  If ``manifest.json`` maps clips to videos,
-    the mapping is used to group beats per video.
+    the mapping is used to group beats per video; each of its ``clips``
+    entries needs a string ``clip_path`` and a string or null ``video_id``.
     """
     import json
 
@@ -243,16 +245,21 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
     video_of: dict[str, str] = {}
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():
+        if not manifest_path.is_file():
+            raise ConfigurationError(f"{manifest_path}: not a file")
         try:
             manifest = json.loads(manifest_path.read_text())
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigurationError(f"{manifest_path}: not valid JSON: {exc}") from None
         clips = manifest.get("clips", []) if isinstance(manifest, dict) else None
         if not isinstance(clips, list) or not all(
-            isinstance(c, dict) and "clip_path" in c for c in clips
+            isinstance(c, dict) and isinstance(c.get("clip_path"), str)
+            and isinstance(c.get("video_id"), (str, type(None)))
+            for c in clips
         ):
             raise ConfigurationError(
-                f"{manifest_path}: expected an object whose 'clips' entries each have a clip_path"
+                f"{manifest_path}: expected an object whose 'clips' entries each have a "
+                "string clip_path and a string or null video_id"
             )
         video_of = {c["clip_path"]: c.get("video_id") for c in clips}
     samples = []

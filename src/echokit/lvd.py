@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, check_int_fields
 from .nn import (
     Dense,
     DepthwiseSeparable2d,
@@ -181,6 +181,7 @@ class LvdModelConfig:
     seed: int = 42
 
     def __post_init__(self):
+        check_int_fields(self, frame_shape=2, channels=3, hidden=None, seed=None)
         nx, ny = self.frame_shape
         if nx // 8 < 1 or ny // 8 < 1:
             raise ConfigurationError("frame must be at least 8x8 for three pool stages")

@@ -5,9 +5,11 @@ gen_ef_video() renders a pulsating ellipse whose area follows
     A(t) = A_max - (A_max - A_min) * (1 - cos(2*pi*t / P)) / 2,
 
 so the clip starts at diastole (crest) and every beat spans P frames.
-Masks are exact rasterizations and the generator emits its own per-frame
-pixel counts.  The EF ground truth uses the isotropic-shape convention
-volume ~ area^(3/2): the label is ef.compute_ef of the volumes
+Masks are exact rasterizations, rendered for all frames in one
+broadcast pass, and the generator emits their per-frame pixel counts;
+datasets.build_ef_samples detects beats from those counts rather than
+counting the masks again.  The EF ground truth uses the isotropic-shape
+convention volume ~ area^(3/2): the label is ef.compute_ef of the volumes
 A_max^(3/2) and A_min^(3/2), 100 * (1 - (A_min/A_max)^(3/2)) in closed
 form; the frame rate is set so one beat lasts a nominal 0.8 s.
 
@@ -99,14 +101,16 @@ def gen_ef_video(params: EfSceneParams) -> EfScene:
     t = np.arange(nt)
     areas = a_max - (a_max - a_min) * (1.0 - np.cos(2.0 * np.pi * t / period)) / 2.0
 
-    rows = np.arange(nx)[:, None] - cx
-    cols = np.arange(ny)[None, :] - cy
-    masks = np.zeros((nx, ny, nt))
-    for k in range(nt):
-        semi_x = np.sqrt(areas[k] * params.aspect / np.pi)
-        semi_y = semi_x / params.aspect
-        inside = (rows / semi_x) ** 2 + (cols / semi_y) ** 2 <= 1.0
-        masks[:, :, k] = inside
+    # All frames at once: each pixel of frame k sees the same operations as
+    # a per-frame rasterization with frame k's semi-axes.
+    semi_x = np.sqrt(areas * params.aspect / np.pi)
+    semi_y = semi_x / params.aspect
+    rows = np.arange(nx)[:, None, None] - cx
+    cols = np.arange(ny)[None, :, None] - cy
+    inside = (rows / semi_x) ** 2 + (cols / semi_y) ** 2 <= 1.0
+    true_areas = np.count_nonzero(inside, axis=(0, 1)).astype(np.int64)
+    masks = inside.astype(np.float64)
+    del inside  # not held while the noise and the video are built
 
     rng = np.random.default_rng(params.seed)
     noise = rng.uniform(-params.noise_amplitude, params.noise_amplitude, masks.shape)
@@ -129,7 +133,7 @@ def gen_ef_video(params: EfSceneParams) -> EfScene:
         masks=masks,
         ef_true=ef_true,
         true_extrema=extrema,
-        true_areas=np.count_nonzero(masks, axis=(0, 1)).astype(np.int64),
+        true_areas=true_areas,
         frame_rate=period / NOMINAL_BEAT_SECONDS,
         params=params,
     )

@@ -37,7 +37,8 @@ class TensorFormatError(EchokitError, IOError):
 def write_tensor_stream(stream: BinaryIO, array: np.ndarray) -> None:
     """Append one CTR1 record to an open binary stream."""
     array = np.asarray(array)
-    dtype = np.dtype("<f4") if array.dtype == np.float32 else np.dtype("<f8")
+    single = array.dtype.kind == "f" and array.dtype.itemsize == 4  # either byte order
+    dtype = np.dtype("<f4") if single else np.dtype("<f8")
     code = _DTYPE_CODES[dtype]
     # Copies only input that is not already C-ordered in the stored dtype;
     # ascontiguousarray would make rank 0 rank 1.
@@ -111,8 +112,10 @@ def read_tensor(path) -> np.ndarray:
     """Read the single tensor stored at *path*."""
     try:
         stream = open(path, "rb")
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         raise InputNotFoundError(f"tensor file does not exist: {path}") from None
+    except IsADirectoryError:
+        raise InputNotFoundError(f"tensor path is a directory, not a file: {path}") from None
     with stream:
         array = read_tensor_stream(stream)
         trailing = stream.read(1)

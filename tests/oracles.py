@@ -145,10 +145,12 @@ def welford(values):
 
 def ctr1_record(array):
     """One CTR1 record, built field by field: b"CTR1", the dtype code (1 for
-    native float32, 2 for every other dtype, stored as float64), the rank,
-    little-endian uint32 dims, then the C-ordered little-endian payload."""
+    float32 of either byte order, 2 for every other dtype, stored as
+    float64), the rank, little-endian uint32 dims, then the C-ordered
+    little-endian payload."""
     array = np.asarray(array)
-    code, dtype = (1, "<f4") if array.dtype == np.dtype("=f4") else (2, "<f8")
+    single = array.dtype.kind == "f" and array.dtype.itemsize == 4
+    code, dtype = (1, "<f4") if single else (2, "<f8")
     header = b"CTR1" + struct.pack("<BB", code, array.ndim)
     header += b"".join(struct.pack("<I", d) for d in array.shape)
     return header + np.ascontiguousarray(array, dtype).tobytes()
@@ -440,3 +442,39 @@ def lvd_objective_reference(weights, scale, coord_coef, raw, target):
             d_points[m + 1] -= pull
     d_raw += d_points.ravel() * scale
     return value, d_raw
+
+
+# The synthetic EF video as it was rendered before its masks went through
+# one broadcast pass: one ellipse rasterization per frame.  The generator
+# must reproduce masks, video and pixel counts bit for bit.
+
+
+def ef_masks_loops(params):
+    """(masks, video, true_areas) of ``gen_ef_video(params)``, frame by frame.
+
+    The interior and exterior levels, 0.8 and 0.2, are written out here.
+    """
+    nx, ny = params.frame_dims
+    period = params.period_frames
+    nt = params.n_beats * period
+    frame_area = nx * ny
+    a_min = params.base_area * frame_area
+    a_max = (params.base_area + params.pulsatility) * frame_area
+    cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
+    areas = a_max - (a_max - a_min) * (1.0 - np.cos(2.0 * np.pi * np.arange(nt) / period)) / 2.0
+
+    rows = np.arange(nx)[:, None] - cx
+    cols = np.arange(ny)[None, :] - cy
+    masks = np.zeros((nx, ny, nt))
+    true_areas = np.zeros(nt, dtype=np.int64)
+    for k in range(nt):
+        semi_x = np.sqrt(areas[k] * params.aspect / np.pi)
+        semi_y = semi_x / params.aspect
+        inside = (rows / semi_x) ** 2 + (cols / semi_y) ** 2 <= 1.0
+        masks[:, :, k] = inside
+        true_areas[k] = sum(int(v) for v in inside.ravel())
+
+    rng = np.random.default_rng(params.seed)
+    noise = rng.uniform(-params.noise_amplitude, params.noise_amplitude, masks.shape)
+    video = np.clip(0.2 + (0.8 - 0.2) * masks + noise, 0.0, 1.0)
+    return masks, video, true_areas

@@ -377,6 +377,41 @@ class TestCheckpoint:
         with pytest.raises(ShapeError, match="manifest layer"):
             checkpoint.load_ef_model(ck)
 
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", [16]), ("hidden", 16.0), ("hidden", -1), ("seed", True), ("seed", -5),
+        ("channels", [4, [8], 8]), ("frame_shape", [16, 16, 1]),
+    ])
+    def test_mistyped_lvd_config_writes_failed_report(self, replay_data, tmp_path, field,
+                                                      value):
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        for name in ("manifest.json", "params.ctr"):
+            (ck / name).write_bytes((replay_data / "lvd_ck" / name).read_bytes())
+        manifest = json.loads((ck / "manifest.json").read_text())
+        manifest["model_config"][field] = value
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "report.json"
+        code = run(["eval-lvd", "--data", str(replay_data / "lvd"), "--model", str(ck),
+                    "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "ConfigurationError", f"bad model_config ({field} must be")
+
+    @pytest.mark.parametrize("config_cls, kwargs", [
+        (LvdModelConfig, {"hidden": (16,)}),
+        (LvdModelConfig, {"channels": (4, 8)}),
+        (LvdModelConfig, {"frame_shape": (16, 16.0)}),
+        (EfModelConfig, {"encoder_dim": (8,)}),
+        (EfModelConfig, {"frame_shape": 8}),
+        (EfModelConfig, {"seed": [1, 2]}),
+    ])
+    def test_model_config_rejects_non_integer_fields(self, config_cls, kwargs):
+        with pytest.raises(ConfigurationError, match=f"{next(iter(kwargs))} must be"):
+            config_cls(**kwargs)
+
+    def test_model_config_accepts_numpy_integers(self):
+        config = LvdModelConfig(frame_shape=(np.int64(16), 16), hidden=np.int32(8))
+        assert config.hidden == 8
+
     def test_eval_without_checkpoint_writes_failed_report(self, tmp_path):
         data = tmp_path / "data"
         run(["synth", "lvd", "--out-dir", str(data), "--frames", "4",
@@ -405,8 +440,11 @@ class TestDatasetFaults:
         checkpoint.save_checkpoint(ck, kind, model.config, model.graph)
         return data, ck
 
-    @pytest.mark.parametrize("body", ["{", "[]", '{"clips": [{"video_id": "v0"}]}'],
-                             ids=["not_json", "not_object", "no_clip_path"])
+    @pytest.mark.parametrize("body", [
+        "{", "[]", '{"clips": [{"video_id": "v0"}]}',
+        '{"clips": [{"clip_path": "clips/video_0000_beat0.ctr", "video_id": ["v0"]}]}',
+        '{"clips": [{"clip_path": ["clips/video_0000_beat0.ctr"], "video_id": "v0"}]}',
+    ], ids=["not_json", "not_object", "no_clip_path", "list_video_id", "list_clip_path"])
     def test_malformed_manifest_writes_failed_report(self, tmp_path, body):
         data, ck = self.dataset_and_model(tmp_path, "ef")
         (data / "manifest.json").write_text(body)
@@ -454,6 +492,36 @@ class TestDatasetFaults:
         code = run([f"eval-{kind}", "--data", str(data), "--model", str(ck), "--out", str(out)])
         assert code == 2
         assert_failed_report(out, "InputNotFoundError", rel)
+
+    @pytest.mark.parametrize("kind", ["ef", "lvd"])
+    def test_sample_path_naming_a_directory_writes_failed_report(self, tmp_path, kind):
+        data, _ = self.dataset_and_model(tmp_path, kind)
+        column, directory = ("clip_path", "clips") if kind == "ef" else ("frame_path", "frames")
+        with open(data / "labels.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[0][column] = directory
+        with open(data / "labels.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "report.json"
+        code = run([f"train-{kind}", "--data", str(data), "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "InputNotFoundError",
+                             f"is a directory, not a file: {data / directory}")
+
+    @pytest.mark.parametrize("where, error", [
+        ("data/labels.csv", "InputNotFoundError"), ("data/manifest.json", "ConfigurationError"),
+        ("ck/manifest.json", "InputNotFoundError"), ("ck/params.ctr", "InputNotFoundError"),
+    ])
+    def test_directory_in_place_of_a_file_writes_failed_report(self, tmp_path, where, error):
+        data, ck = self.dataset_and_model(tmp_path, "ef")
+        (tmp_path / where).unlink()
+        (tmp_path / where).mkdir()
+        out = tmp_path / "report.json"
+        code = run(["eval-ef", "--data", str(data), "--model", str(ck), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, error, str(tmp_path / where))
 
     @pytest.mark.parametrize("kind, value", [("ef", np.nan), ("lvd", np.inf)])
     def test_non_finite_sample_writes_failed_report(self, tmp_path, kind, value):

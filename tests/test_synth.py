@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from echokit.beats import area_signal, detect_extrema
+from echokit.beats import area_signal, detect_extrema, extract_beats
+from echokit.datasets import build_ef_samples
 from echokit.errors import ConfigurationError
 from echokit.lvd import Calibration, dimensions_from_keypoints
 from echokit.synth import (
@@ -15,7 +16,7 @@ from echokit.synth import (
     generate_lvd_scenes,
 )
 
-from oracles import welford
+from oracles import ef_masks_loops, welford
 
 
 class TestGenEfVideo:
@@ -81,6 +82,42 @@ class TestGenEfVideo:
     def test_video_intensities_in_unit_range(self):
         scene = gen_ef_video(EfSceneParams(frame_dims=(16, 16), seed=8))
         assert scene.video.min() >= 0.0 and scene.video.max() <= 1.0
+
+
+class TestEfVideoOracle:
+    @pytest.mark.parametrize("params", [
+        EfSceneParams(frame_dims=(16, 16), seed=1),
+        EfSceneParams(frame_dims=(15, 21), seed=2),
+        EfSceneParams(frame_dims=(24, 24), n_beats=2, seed=3),
+        EfSceneParams(frame_dims=(16, 16), pulsatility=0.0, seed=4),
+        EfSceneParams(frame_dims=(16, 16), aspect=1.0, seed=5),
+        EfSceneParams(frame_dims=(16, 16), period_frames=6, seed=6),
+        # A circle of radius exactly 4 px about pixel (7, 7): the four pixels
+        # 4 px out along the axes lie on its boundary, and are inside.
+        EfSceneParams(frame_dims=(15, 15), base_area=np.pi * 16 / 225, pulsatility=0.0,
+                      aspect=1.0, seed=7),
+    ], ids=["16x16", "15x21", "two_beats", "no_pulsatility", "circle", "period_6",
+            "on_boundary"])
+    def test_generator_matches_per_frame_loop(self, params):
+        scene = gen_ef_video(params)
+        masks, video, true_areas = ef_masks_loops(params)
+        for got, want in ((scene.masks, masks), (scene.video, video),
+                          (scene.true_areas, true_areas)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_samples_match_counting_the_masks(self):
+        spec = EfDatasetSpec(n_videos=3, frame_dims=(16, 16), seed=5)
+        expected = []
+        for scene in generate_ef_scenes(spec):
+            extrema = detect_extrema(area_signal(scene.masks, scene.frame_rate))
+            expected.extend(extract_beats(scene.video, extrema))
+        samples = build_ef_samples(spec)
+        assert len(samples) == len(expected) >= 3
+        for sample, clip in zip(samples, expected):
+            assert (sample.clip.start_frame, sample.clip.end_frame) == (
+                clip.start_frame, clip.end_frame)
+            assert sample.clip.sub_video.tobytes() == clip.sub_video.tobytes()
 
 
 class TestGenLvdFrame:

@@ -1,10 +1,11 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from echokit.errors import ValidationError
+from echokit.errors import InputNotFoundError, ValidationError
 from echokit.tensorio import (
     MAGIC,
     TensorFormatError,
@@ -37,6 +38,28 @@ def test_float32_roundtrip_bit_exact(tmp_path):
     back = read_tensor(path)
     assert back.dtype == np.float32
     assert back.tobytes() == arr.tobytes()
+
+
+def test_big_endian_float32_stored_as_float32(tmp_path):
+    arr = np.arange(3, dtype=">f4")
+    path = tmp_path / "t.ctr"
+    write_tensor(path, arr)
+    assert len(path.read_bytes()) == 22  # 10-byte header, 3 float32s
+    back = read_tensor(path)
+    assert back.dtype == np.float32
+    np.testing.assert_array_equal(back, arr)
+
+
+def test_directory_path_raises_input_not_found(tmp_path):
+    message = f"is a directory, not a file: {tmp_path}"
+    with pytest.raises(InputNotFoundError, match=re.escape(message)):
+        read_tensor(tmp_path)
+
+
+def test_path_below_a_file_raises_input_not_found(tmp_path):
+    write_tensor(tmp_path / "t.ctr", np.zeros(2))
+    with pytest.raises(InputNotFoundError, match="does not exist"):
+        read_tensor(tmp_path / "t.ctr" / "inner.ctr")
 
 
 def test_header_layout(tmp_path):
@@ -105,6 +128,7 @@ WRITE_INPUTS = {
     "strided_view": _GRID[::2, 1:, ::-2],
     "big_endian": _GRID.astype(">f8"),
     "float32": _GRID.astype(np.float32),
+    "big_endian_float32": _GRID.astype(">f4"),
     "int64": np.arange(-6, 6, dtype=np.int64).reshape(3, 4),
     "float16": _GRID.astype(np.float16),
     "rank_0": np.array(-2.5),
