@@ -15,16 +15,16 @@ from different saves.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from dataclasses import asdict, fields
 from itertools import zip_longest
 from pathlib import Path
 
-from .errors import ConfigurationError, InputNotFoundError, ShapeError
+from .errors import ConfigurationError, ShapeError
 from .nn import ModelGraph
-from .tensorio import read_tensor_stream, write_tensor_stream
+from .report import json_text
+from .tensorio import open_input, output_dir, read_json, read_tensor_stream, write_tensor_stream
 
 FORMAT = "echokit-checkpoint-v1"
 
@@ -51,10 +51,9 @@ def save_checkpoint(path, model_kind: str, model_config, graph: ModelGraph,
         "extra": extra or {},
     }
     staging = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
-    staging.mkdir(parents=True)
+    output_dir(staging)
     try:
-        (staging / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        (staging / "manifest.json").write_text(json_text(manifest))
         with open(staging / "params.ctr", "wb") as fh:
             for p in graph.params():
                 write_tensor_stream(fh, p)
@@ -76,14 +75,8 @@ def _layer_specs(graph: ModelGraph) -> list[dict]:
 
 
 def load_manifest(path) -> dict:
-    path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.is_file():
-        raise InputNotFoundError(f"missing checkpoint manifest: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ConfigurationError(f"{manifest_path}: not valid JSON ({exc})") from exc
+    manifest_path = Path(path) / "manifest.json"
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
         raise ConfigurationError(f"{manifest_path}: not an {FORMAT} manifest")
     return manifest
@@ -91,11 +84,8 @@ def load_manifest(path) -> dict:
 
 def load_params_into(path, graph: ModelGraph) -> None:
     """Read params.ctr into an already-built graph, checking shapes."""
-    params_path = Path(path) / "params.ctr"
-    if not params_path.is_file():
-        raise InputNotFoundError(f"missing checkpoint parameters: {params_path}")
     params = graph.params()
-    with open(params_path, "rb") as fh:
+    with open_input(Path(path) / "params.ctr") as fh:
         for i, p in enumerate(params):
             stored = read_tensor_stream(fh)
             if stored.shape != p.shape:
@@ -133,6 +123,8 @@ def load_model(path, kind: str):
         config = config_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()})
     except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"checkpoint at {path}: bad model_config ({exc})") from exc
+    if not isinstance(manifest.get("extra", {}), dict):
+        raise ConfigurationError(f"checkpoint at {path}: extra must be an object")
     model = model_cls.build(config)
     stored = manifest.get("layers")
     for i, (saved, built) in enumerate(zip_longest(

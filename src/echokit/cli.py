@@ -14,7 +14,6 @@ and seed (timing fields aside).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -28,7 +27,7 @@ from . import beats, checkpoint, convops, datasets, ef, lvd, synth, tensorio
 from .nn import TrainConfig
 from .errors import ConfigurationError, EchokitError, ShapeError
 from .nn.gradcheck import DEFAULT_EPSILON, LAYER_KINDS, check_layer_kind, check_model_subset
-from .report import Report
+from .report import Report, json_text
 
 ORACLE_TOLERANCE = 1e-10
 GRAD_TOLERANCE = 1e-4
@@ -225,8 +224,7 @@ def cmd_extract_beats(args) -> Report:
     )
     clips = beats.extract_beats(video, extrema)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = tensorio.output_dir(args.out_dir)
     index = {"clips": [], "maxima": extrema.maxima, "minima": extrema.minima}
     for i, clip in enumerate(clips):
         rel = f"beat_{i:03d}.ctr"
@@ -240,7 +238,7 @@ def cmd_extract_beats(args) -> Report:
                 "end_area": int(signal.values[clip.end_frame]),
             }
         )
-    (out_dir / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
+    (out_dir / "index.json").write_text(json_text(index))
     return Report(
         metrics={
             "n_clips": len(clips),
@@ -462,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; exit 0 if every verdict passed, 1 if one failed,
-    and 2 if the run stopped on an echokit error (its report says which).
+    and 2 if the run stopped on an echokit error (its report says which)
+    or ``--out`` cannot be written (one line on stderr says why).
 
     Every report, failed or not, carries the subcommand and, as its
     config, every parsed flag but ``--out``."""
@@ -485,8 +484,13 @@ def main(argv=None) -> int:
     for line in report.summary_lines():
         print(line)
     if args.out is not None:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(report.to_json())
+        try:
+            tensorio.output_dir(Path(args.out).parent)
+            Path(args.out).write_text(report.to_json())
+        except (OSError, ValueError) as exc:  # ConfigurationError is a ValueError
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"cannot write the report to {args.out}: {reason}", file=sys.stderr)
+            return 2
         print(f"report written to {args.out}")
     return code
 

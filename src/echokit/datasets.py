@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict
 from itertools import groupby
@@ -19,10 +18,11 @@ from pathlib import Path
 
 from .beats import AreaSignal, detect_extrema, extract_beats
 from .ef import EF_LABEL_HEADER, EfSample
-from .errors import ConfigurationError, InputNotFoundError
+from .errors import ConfigurationError
 from .lvd import LVD_LABEL_HEADER, LvdSample
+from .report import json_text
 from .synth import EfDatasetSpec, LvdDatasetSpec, generate_ef_scenes, generate_lvd_scenes
-from .tensorio import write_tensor
+from .tensorio import open_input, output_dir, write_tensor
 
 
 def build_ef_samples(spec: EfDatasetSpec) -> list[EfSample]:
@@ -51,7 +51,7 @@ def build_lvd_samples(spec: LvdDatasetSpec) -> list[LvdSample]:
 def write_ef_dataset(out_dir, spec: EfDatasetSpec) -> dict:
     """Generate and write an EF dataset directory; returns the manifest."""
     out_dir = Path(out_dir)
-    (out_dir / "clips").mkdir(parents=True, exist_ok=True)
+    output_dir(out_dir / "clips")
     rows = []
     clip_meta = []
     for video_id, samples in groupby(build_ef_samples(spec), key=attrgetter("video_id")):
@@ -75,14 +75,14 @@ def write_ef_dataset(out_dir, spec: EfDatasetSpec) -> dict:
         "clips": clip_meta,
     }
     _write_labels(out_dir / "labels.csv", EF_LABEL_HEADER, rows)
-    _write_manifest(out_dir / "manifest.json", manifest)
+    (out_dir / "manifest.json").write_text(json_text(manifest))
     return manifest
 
 
 def write_lvd_dataset(out_dir, spec: LvdDatasetSpec) -> dict:
     """Generate and write an LVD dataset directory; returns the manifest."""
     out_dir = Path(out_dir)
-    (out_dir / "frames").mkdir(parents=True, exist_ok=True)
+    output_dir(out_dir / "frames")
     rows = []
     for i, sample in enumerate(build_lvd_samples(spec)):
         rel = f"frames/frame_{i:04d}.ctr"
@@ -94,7 +94,7 @@ def write_lvd_dataset(out_dir, spec: LvdDatasetSpec) -> dict:
         rows.append(row)
     manifest = {"kind": "lvd", "spec": asdict(spec), "n_frames": len(rows)}
     _write_labels(out_dir / "labels.csv", LVD_LABEL_HEADER, rows)
-    _write_manifest(out_dir / "manifest.json", manifest)
+    (out_dir / "manifest.json").write_text(json_text(manifest))
     return manifest
 
 
@@ -102,15 +102,14 @@ def read_labels(path: Path, header, numeric) -> list[dict]:
     """The rows of a ``labels.csv`` with *header*, as dicts.
 
     The fields named in *numeric* become floats.  Blank lines are skipped.
-    A missing file, or a directory in its place, raises InputNotFoundError;
+    A path that cannot be opened raises InputNotFoundError (``open_input``);
     bytes that are not UTF-8, a field the csv module rejects, a different
     header, a row without exactly one value per column, a value in a
     *numeric* field that is not a finite number, or no rows at all raise
     ConfigurationError naming the file and, for a row, its line.
     """
-    if not path.is_file():
-        raise InputNotFoundError(f"missing labels file: {path}")
-    data = path.read_bytes()
+    with open_input(path) as stream:
+        data = stream.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -153,7 +152,3 @@ def _write_labels(path: Path, header, rows) -> None:
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def _write_manifest(path: Path, manifest: dict) -> None:
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

@@ -235,10 +235,8 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
     the mapping is used to group beats per video; each of its ``clips``
     entries needs a string ``clip_path`` and a string or null ``video_id``.
     """
-    import json
-
     from .datasets import read_labels
-    from .tensorio import read_finite_tensor
+    from .tensorio import read_finite_tensor, read_json
 
     data_dir = Path(data_dir)
     rows = read_labels(data_dir / "labels.csv", EF_LABEL_HEADER, numeric=("ef_percent",))
@@ -247,10 +245,7 @@ def load_ef_dataset(data_dir) -> list[EfSample]:
     if manifest_path.exists():
         if not manifest_path.is_file():
             raise ConfigurationError(f"{manifest_path}: not a file")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ConfigurationError(f"{manifest_path}: not valid JSON: {exc}") from None
+        manifest = read_json(manifest_path)
         clips = manifest.get("clips", []) if isinstance(manifest, dict) else None
         if not isinstance(clips, list) or not all(
             isinstance(c, dict) and isinstance(c.get("clip_path"), str)

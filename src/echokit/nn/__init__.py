@@ -29,31 +29,3 @@ from .train import (
     value_and_grad,
 )
 from .gradcheck import central_difference, finite_diff_grad
-
-__all__ = [
-    "AdamState",
-    "Conv1d",
-    "Dense",
-    "DepthwiseSeparable2d",
-    "Flatten",
-    "FrameEncoder",
-    "GlobalAvgPool2d",
-    "GlobalMaxPool1d",
-    "Layer",
-    "MaxPool2d",
-    "ModelGraph",
-    "Swish",
-    "TrainConfig",
-    "TrainResult",
-    "adam_step",
-    "central_difference",
-    "finite_diff_grad",
-    "fit",
-    "gradient_rel_error",
-    "mae_value_and_grad",
-    "make_optimizer",
-    "mse_value_and_grad",
-    "sgd_step",
-    "split",
-    "value_and_grad",
-]

@@ -470,9 +470,6 @@ class ModelGraph:
             dout = layer.backward(dout, cache)
         return dout
 
-    def kinds(self) -> list[str]:
-        return [layer.kind for layer in self.layers]
-
     def n_params(self) -> int:
         """Total number of parameter elements."""
         return sum(p.size for p in self.params())

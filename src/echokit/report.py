@@ -16,6 +16,12 @@ from pathlib import PurePath
 VOLATILE_PREFIX = "wall_"
 
 
+def json_text(value) -> str:
+    """*value* as echokit writes every JSON document: sorted keys, indent 2
+    and a final newline, so equal values give equal bytes."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 def jsonable(value):
     """Recursively coerce numpy scalars/arrays and paths to plain Python values."""
     if isinstance(value, PurePath):
@@ -53,7 +59,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.as_dict())
 
     def canonical_json(self, volatile: bool = False) -> str:
         """Serialization for comparisons; drops timing fields unless asked."""
@@ -64,18 +70,7 @@ class Report:
                 k: v for k, v in data["metrics"].items()
                 if not k.startswith(VOLATILE_PREFIX)
             }
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        data = json.loads(text)
-        return cls(
-            subcommand=data["subcommand"],
-            config=data["config"],
-            metrics=data["metrics"],
-            verdicts=data["verdicts"],
-            wall_clock_ms=data["wall_clock_ms"],
-        )
+        return json_text(data)
 
     def summary_lines(self) -> list[str]:
         lines = [f"[{self.subcommand}]"]

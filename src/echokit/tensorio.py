@@ -7,18 +7,24 @@ little-endian payload.  Round-trips are bit-exact for both dtypes.
 The payload moves between file and array once: the writer hands the
 stream a byte view of the array's own memory, and the reader reads into
 the result array, so neither holds a payload-sized copy.
+
+``open_input`` is the only place echokit opens an input path,
+``read_json`` reads every JSON document through it, and ``output_dir``
+makes every output directory.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import math
 import struct
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
-from .errors import EchokitError, InputNotFoundError, ValidationError
+from .errors import ConfigurationError, EchokitError, InputNotFoundError, ValidationError
 
 MAGIC = b"CTR1"
 
@@ -103,20 +109,50 @@ def _remaining_bytes(stream: BinaryIO) -> int | None:
 
 def write_tensor(path, array: np.ndarray) -> None:
     """Write one tensor to *path*: float32 arrays as float32, all else as float64."""
-    array = np.asarray(array)
     with open(path, "wb") as stream:
         write_tensor_stream(stream, array)
 
 
+def open_input(path) -> BinaryIO:
+    """*path* opened for binary reading.  Any path ``open`` rejects (missing,
+    a directory, a name over the OS limit, a symlink loop, a NUL byte, no
+    permission) raises InputNotFoundError naming it."""
+    try:
+        return open(path, "rb")
+    except (FileNotFoundError, NotADirectoryError):
+        raise InputNotFoundError(f"input file does not exist: {path}") from None
+    except IsADirectoryError:
+        raise InputNotFoundError(f"input path is a directory, not a file: {path}") from None
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputNotFoundError(f"cannot open input {path}: {reason}") from None
+
+
+def read_json(path):
+    """The JSON document at *path*; text that is not UTF-8 JSON raises
+    ConfigurationError naming the file."""
+    with open_input(path) as stream:
+        data = stream.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
+
+
+def output_dir(path) -> Path:
+    """Directory *path*, made with its parents if missing; a path that
+    cannot be a directory raises ConfigurationError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"cannot create output directory {path}: {reason}") from None
+    return Path(path)
+
+
 def read_tensor(path) -> np.ndarray:
     """Read the single tensor stored at *path*."""
-    try:
-        stream = open(path, "rb")
-    except (FileNotFoundError, NotADirectoryError):
-        raise InputNotFoundError(f"tensor file does not exist: {path}") from None
-    except IsADirectoryError:
-        raise InputNotFoundError(f"tensor path is a directory, not a file: {path}") from None
-    with stream:
+    with open_input(path) as stream:
         array = read_tensor_stream(stream)
         trailing = stream.read(1)
     if trailing:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ def run(argv):
 
 
 def read_report(path):
-    return Report.from_json(path.read_text())
+    return Report(**json.loads(path.read_text()))
 
 
 def assert_failed_report(path, error, message_part):
@@ -523,6 +524,19 @@ class TestDatasetFaults:
         assert code == 2
         assert_failed_report(out, error, str(tmp_path / where))
 
+    @pytest.mark.parametrize("extra", [[], "x", None], ids=["list", "string", "null"])
+    @pytest.mark.parametrize("kind", ["ef", "lvd"])
+    def test_checkpoint_extra_that_is_not_an_object_writes_failed_report(self, tmp_path, kind,
+                                                                         extra):
+        data, ck = self.dataset_and_model(tmp_path, kind)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        manifest["extra"] = extra
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "report.json"
+        code = run([f"eval-{kind}", "--data", str(data), "--model", str(ck), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "ConfigurationError", "extra must be an object")
+
     @pytest.mark.parametrize("kind, value", [("ef", np.nan), ("lvd", np.inf)])
     def test_non_finite_sample_writes_failed_report(self, tmp_path, kind, value):
         data, _ = self.dataset_and_model(tmp_path, kind)
@@ -536,6 +550,99 @@ class TestDatasetFaults:
         code = run([f"train-{kind}", "--data", str(data), "--epochs", "1", "--out", str(out)])
         assert code == 2
         assert_failed_report(out, "ValidationError", f"{path}: ")
+
+
+def unopenable(tmp_path, case):
+    """A path that open() rejects with neither FileNotFoundError nor
+    IsADirectoryError: a name over the OS limit, a symlink loop or a NUL byte."""
+    if case == "long_name":
+        return tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+    if case == "symlink_loop":
+        (tmp_path / "loop").symlink_to("loop")
+        return tmp_path / "loop"
+    return tmp_path / "nul\0byte"
+
+
+UNOPENABLE = ["long_name", "symlink_loop", "nul_byte"]
+
+
+class TestUnopenablePaths:
+    @pytest.mark.parametrize("case", UNOPENABLE)
+    @pytest.mark.parametrize("kind", ["ef", "lvd"])
+    def test_sample_path_cell_writes_failed_report(self, tmp_path, kind, case):
+        data, _ = TestDatasetFaults.dataset_and_model(tmp_path, kind)
+        bad = unopenable(tmp_path, case)
+        with open(data / "labels.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][0] = str(bad)
+        with open(data / "labels.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "report.json"
+        code = run([f"train-{kind}", "--data", str(data), "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "InputNotFoundError", str(bad))
+
+    @pytest.mark.parametrize("case", UNOPENABLE)
+    @pytest.mark.parametrize("kind", ["ef", "lvd"])
+    def test_model_path_writes_failed_report(self, tmp_path, kind, case):
+        data, _ = TestDatasetFaults.dataset_and_model(tmp_path, kind)
+        bad = unopenable(tmp_path, case)
+        out = tmp_path / "report.json"
+        code = run([f"eval-{kind}", "--data", str(data), "--model", str(bad), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "InputNotFoundError", str(bad / "manifest.json"))
+
+    @pytest.mark.parametrize("case", UNOPENABLE)
+    @pytest.mark.parametrize("flag", ["--video", "--masks"])
+    def test_extract_beats_input_writes_failed_report(self, tmp_path, flag, case):
+        paths = {"--video": tmp_path / "v.ctr", "--masks": tmp_path / "m.ctr"}
+        for path in paths.values():
+            write_tensor(path, np.zeros((4, 4, 10)))
+        paths[flag] = unopenable(tmp_path, case)
+        out = tmp_path / "report.json"
+        code = run(["extract-beats", "--video", str(paths["--video"]),
+                    "--masks", str(paths["--masks"]), "--out-dir", str(tmp_path / "o"),
+                    "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "InputNotFoundError", str(paths[flag]))
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("where", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("command", ["synth", "extract-beats"])
+    def test_out_dir_that_cannot_be_made_writes_failed_report(self, tmp_path, command, where):
+        (tmp_path / "afile").write_bytes(b"")
+        if command == "synth":
+            argv = ["synth", "ef", "--videos", "1"]
+        else:
+            write_tensor(tmp_path / "v.ctr", np.zeros((4, 4, 10)))
+            argv = ["extract-beats", "--video", str(tmp_path / "v.ctr"),
+                    "--masks", str(tmp_path / "v.ctr")]
+        out = tmp_path / "report.json"
+        code = run([*argv, "--out-dir", str(tmp_path / where), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "ConfigurationError",
+                             f"cannot create output directory {tmp_path / where}")
+
+    def test_train_out_dir_below_a_file_writes_failed_report(self, tmp_path):
+        data, _ = TestDatasetFaults.dataset_and_model(tmp_path, "ef")
+        (tmp_path / "afile").write_bytes(b"")
+        out = tmp_path / "report.json"
+        code = run(["train-ef", "--data", str(data), "--epochs", "1",
+                    "--out-dir", str(tmp_path / "afile" / "ck"), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "ConfigurationError",
+                             f"cannot create output directory {tmp_path / 'afile'}")
+
+    @pytest.mark.parametrize("where", ["adir", "afile/report.json"])
+    def test_report_that_cannot_be_written_exits_2(self, tmp_path, capsys, where):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_bytes(b"")
+        code = run(["oracle-check", "--trials", "1", "--out", str(tmp_path / where)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"cannot write the report to {tmp_path / where}: ")
 
 
 class TestExitCodes:
@@ -709,7 +816,7 @@ class TestReport:
             wall_clock_ms=17.5,
         )
         text = report.to_json()
-        assert Report.from_json(text).to_json() == text
+        assert Report(**json.loads(text)).to_json() == text
 
     def test_canonical_excludes_volatile(self):
         report = Report("x", metrics={"a": 1, "wall_t": 2.0}, wall_clock_ms=3.0)

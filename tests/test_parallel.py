@@ -2,11 +2,13 @@
 errors and output, and leaves no child behind."""
 
 import errno
+import fcntl
 import gc
 import os
 import pickle
 import signal
 import sys
+import termios
 import threading
 import weakref
 
@@ -141,6 +143,28 @@ def square(x):
     return x * x
 
 
+MB_FLOATS = 1 << 17  # float64 values in 1 MB, many pipe buffers' worth
+
+
+def megabyte(x):
+    """1 MB of float64 values that differ with *x*."""
+    return np.random.default_rng(x).standard_normal(MB_FLOATS)
+
+
+def wait_for_a_full_pipe(fds):
+    """Return once one of the pipes among *fds* holds as many bytes as it can:
+    its writer is then blocked inside a write."""
+    while True:
+        for fd in fds:
+            try:
+                capacity = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+                held = fcntl.ioctl(fd, termios.FIONREAD, b"\0\0\0\0")
+            except OSError:  # not a pipe
+                continue
+            if int.from_bytes(held, sys.byteorder) >= capacity:
+                return
+
+
 def fail_from_block_1(x):
     if x == 4:
         raise DomainError(f"item {x} is out of range")
@@ -188,6 +212,14 @@ class TestForkedResults:
         assert ef.evaluate_mae(None, samples) == 5.5
         assert len(forks) == 1
 
+    def test_results_larger_than_a_pipe_buffer(self, forks):
+        fds = open_fds()
+        results = parallel.map_in_order(megabyte, range(6))
+        assert len(forks) == 1
+        assert [r.tobytes() for r in results] == [megabyte(x).tobytes() for x in range(6)]
+        assert_no_children()
+        assert open_fds() == fds
+
     def test_results_in_item_order(self, forks):
         fds = open_fds()
         assert parallel.map_in_order(square, range(11)) == [x * x for x in range(11)]
@@ -230,6 +262,23 @@ class TestForkedErrors:
         with pytest.raises(ChildProcessError, match="items from 3 on ended without a result"):
             parallel.map_in_order(die_in_block_1, range(6))
         assert_no_children()
+
+    @pytest.mark.skipif(not (hasattr(fcntl, "F_GETPIPE_SZ") and open_fds()),
+                        reason="needs F_GETPIPE_SZ and /proc/self/fd to see a full pipe")
+    def test_worker_killed_inside_a_reply_larger_than_a_pipe_buffer(self, forks):
+        caller, fds = os.getpid(), open_fds()
+
+        def kill_worker_once_blocked(x):
+            if os.getpid() == caller and x == 0:
+                wait_for_a_full_pipe([int(fd) for fd in set(open_fds()) - set(fds)])
+                os.kill(forks[0], signal.SIGKILL)
+            return megabyte(x)
+
+        with pytest.raises(ChildProcessError, match="items from 2 on ended without a result"):
+            parallel.map_in_order(kill_worker_once_blocked, range(4))
+        assert len(forks) == 1
+        assert_no_children()
+        assert open_fds() == fds
 
     def test_result_that_does_not_pickle(self, forks):
         def unpicklable_in_block_1(x):
