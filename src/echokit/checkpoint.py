@@ -34,11 +34,16 @@ def save_checkpoint(path, model_kind: str, model_config, graph: ModelGraph,
     """Write a checkpoint directory at *path*, replacing any checkpoint there.
 
     An existing *path* must be a directory holding nothing but checkpoint
-    files, since the whole directory is replaced.
+    files, since the whole directory is replaced.  A path the OS refuses,
+    such as a name over its length limit, raises ConfigurationError.
     """
     path = Path(path)
-    if path.exists() and (not path.is_dir() or {e.name for e in path.iterdir()}
-                          - {"manifest.json", "params.ctr"}):
+    try:
+        exists = path.exists()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write a checkpoint at {path}: {exc.strerror}") from None
+    if exists and (not path.is_dir() or {e.name for e in path.iterdir()}
+                   - {"manifest.json", "params.ctr"}):
         raise ConfigurationError(
             f"{path} is not a checkpoint directory (it holds more than manifest.json "
             "and params.ctr); refusing to replace it"
@@ -50,7 +55,9 @@ def save_checkpoint(path, model_kind: str, model_config, graph: ModelGraph,
         "layers": _layer_specs(graph),
         "extra": extra or {},
     }
-    staging = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    # Named apart from path.name, so that any name the OS takes for path
+    # also leaves room for the staging and retired names.
+    staging = path.parent / f".ckpt-{os.urandom(8).hex()}"
     output_dir(staging)
     try:
         (staging / "manifest.json").write_text(json_text(manifest))

@@ -345,6 +345,8 @@ def cmd_train(task: Task, args) -> Report:
         raise ConfigurationError(f"epochs must be >= 1, got {args.epochs}")
     samples = task.load_dataset(args.data)
     model = task.build(samples, args)
+    if args.out_dir:  # made now, so that a path the OS refuses fails before any epoch
+        tensorio.output_dir(args.out_dir)
     config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size, epochs=args.epochs,
                          optimizer=args.optimizer, seed=args.seed,
                          loss=getattr(args, "loss", "mae"))

@@ -13,12 +13,15 @@ slots.  A convolution's output slabs are independent of each other, so
 ``threaded_runs`` sweeps contiguous runs of them in threads that write
 straight into one shared output.  One rule, ``_n_cpus``, says how many
 CPUs a piece of work may use: one inside a forked map or worker, and one
-while a second thread is alive.
+while a second thread is alive.  While workers live, numpy's OpenBLAS runs
+on one thread, so workers and BLAS threads do not compete for the CPUs.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import itertools
 import mmap
 import os
 import pickle
@@ -34,14 +37,16 @@ import numpy as np
 # about as much as a few predictions, so both gain fully from 32 on.
 MIN_ITEMS_PER_WORKER = 32
 
-# Fewest samples of a training batch one gradient worker is given.  On 2
-# vCPUs with BLAS on one thread, one worker took perfbench's lvd_train
-# (batch 16, so 8 samples a worker) from 258 to 337 training samples/s
-# (medians of 10 pairs), and ef_train (batch 8) from 84 to 114 at 4 a
-# worker (3 pairs).  EF's batch 8 still stays in process: perfbench's
-# tracer sees no spans in workers, and its trace test counts the training
-# forwards of a batch-8 run.
-MIN_SAMPLES_PER_GRAD_WORKER = 8
+# Fewest input values (``np.size`` of each sample's input, summed) in the
+# block of a training batch one gradient worker is given.  A fork costs a
+# fixed ~2 ms plus a parameter-sized copy per term, and a sample's compute
+# grows with its input, so the floor is counted in values: 8 frames of
+# 32x32, 2 of 64x64 or 2 EF clips of 16x16x17.  On 2 vCPUs with BLAS on one
+# thread, one worker took perfbench's lvd_train (batch 16 of 64x64) from
+# 258 to 337 training samples/s and ef_train (batch 8, 4 clips a worker)
+# from 99.6 to 116.1 (medians of 10 pairs each); 32x32 frames at 4 a
+# worker gained nothing.
+MIN_VALUES_PER_GRAD_WORKER = 2**13
 
 # True in a process while it runs a forked map, and in every worker, so a
 # nested map runs in process instead of forking again.
@@ -112,6 +117,30 @@ def threaded_runs(fn, n_pieces: int) -> None:
             raise error
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS, looked up through numpy's core extension,
+    which links it."""
+    return ctypes.CDLL(np._core._multiarray_umath.__file__)
+
+
+def _blas_threads(n: int | None = None) -> int | None:
+    """The thread count numpy's OpenBLAS had, which is then set to *n* if
+    *n* is given; None, and nothing set, where the library or its thread
+    calls are missing."""
+    try:
+        lib = _openblas()
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    found = get()
+    if n is not None:
+        set_(n)
+    return found
+
+
 def _flush_stdio() -> None:
     """Write out buffered text, so no child inherits and writes it again."""
     for stream in (sys.stdout, sys.stderr):
@@ -157,6 +186,12 @@ class _Workers:
     a fork, the workers already forked are kept.  ``close`` closes every
     pipe, so each worker reads EOF or fails its write and exits, then reaps
     every worker.
+
+    Before its first fork, the core sets numpy's OpenBLAS to one thread, in
+    the caller and so in every worker, and ``close`` restores the count it
+    found: workers on every CPU leave BLAS threads none to run on.  Cores
+    nest, as a map inside a training run does, because each restores what
+    it found.  The bytes do not depend on the count.
     """
 
     def __init__(self, serve, n: int, slot_size: int = 0):
@@ -165,8 +200,10 @@ class _Workers:
         self._pids: list[int] = []
         self._requests: list[int] = []  # the caller's ends
         self._replies: list[int] = []
+        self._blas_threads = None  # the count to restore at close
         if n:
             _flush_stdio()
+            self._blas_threads = _blas_threads(1)
         try:
             while len(self._pids) < n and self._fork(slot_size):
                 pass
@@ -251,6 +288,9 @@ class _Workers:
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
+        if self._blas_threads is not None:
+            _blas_threads(self._blas_threads)
+            self._blas_threads = None
 
 
 def map_in_order(fn, items) -> list:
@@ -297,18 +337,33 @@ def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     return [flat[a:b].reshape(x.shape) for a, b, x in zip(bounds, bounds[1:], like)]
 
 
+def _blocks(sizes: list[int], most: int) -> list[int]:
+    """Bounds of the most contiguous blocks, at most *most*, of near-equal
+    counts of *sizes* that each sum to ``MIN_VALUES_PER_GRAD_WORKER`` or
+    more; one block if two cannot."""
+    n = len(sizes)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    for n_blocks in range(min(most, n), 1, -1):
+        bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
+        if all(starts[b] - starts[a] >= MIN_VALUES_PER_GRAD_WORKER
+               for a, b in zip(bounds, bounds[1:])):
+            return bounds
+    return [0, n]
+
+
 class GradientPool:
     """Forked workers that compute the per-sample gradient terms of a batch.
 
     *term(item, n)* overwrites the arrays *grads* with *item*'s term of an
     *n*-sample batch gradient and returns the item's loss value, reading
-    the model from the arrays *params*.  The pool forks one worker per
-    usable CPU beyond the caller's, as many as batches of *batch_size*
-    items can give ``MIN_SAMPLES_PER_GRAD_WORKER`` samples each.  Workers
-    inherit *term*, *items* and the model by fork and are sent only item
-    indices.  The pool forks none on one usable CPU, without ``os.fork``,
-    while a second thread is alive, or inside a map or worker, and keeps
-    the workers it got if the system refuses a slot, a pipe or a fork.
+    the model from the arrays *params*.  *sizes* holds each item's count of
+    input values.  The pool forks one worker per usable CPU beyond the
+    caller's, as many as the largest batch of *batch_size* items can give
+    ``MIN_VALUES_PER_GRAD_WORKER`` values each.  Workers inherit *term*,
+    *items* and the model by fork and are sent only item indices.  The
+    pool forks none on one usable CPU, without ``os.fork``, while a second
+    thread is alive, or inside a map or worker, and keeps the workers it
+    got if the system refuses a slot, a pipe or a fork.
 
     Each worker shares one anonymous ``mmap`` slot the size of *params*
     with the caller.  A step (``start``, then ``add_terms``) writes the
@@ -322,10 +377,11 @@ class GradientPool:
     run in process.
     """
 
-    def __init__(self, term, items, params: list[np.ndarray], grads: list[np.ndarray],
-                 batch_size: int):
+    def __init__(self, term, items, sizes: list[int], params: list[np.ndarray],
+                 grads: list[np.ndarray], batch_size: int):
         self._params = params
         self._index = {id(item): i for i, item in enumerate(items)}
+        self._sizes = sizes
         self._active: list[tuple[int, int, int]] = []  # this step's workers and blocks
         terms = np.empty((0, 0))  # a worker's terms of its block, one per row
 
@@ -351,7 +407,8 @@ class GradientPool:
             slot[...] = terms[0]
             return values
 
-        n_workers = _n_blocks(batch_size, MIN_SAMPLES_PER_GRAD_WORKER) - 1
+        most = sum(sorted(sizes)[-batch_size:])  # values in the largest batch
+        n_workers = _n_blocks(most, MIN_VALUES_PER_GRAD_WORKER) - 1
         self._workers = _Workers(serve, n_workers, sum(p.size for p in params))
         self._slots = [_views(slot, params) for slot in self._workers.slots]
 
@@ -367,20 +424,20 @@ class GradientPool:
         samples of *batch* the caller computes itself.  *batch* holds items
         of the pool's *items*, the same objects, which are sent by index.
 
-        The batch is cut into contiguous blocks of at least
-        ``MIN_SAMPLES_PER_GRAD_WORKER``: the caller's block 0 and at most
-        one per worker.
+        The batch is cut into the caller's block 0 and at most one block per
+        worker: as many contiguous blocks of near-equal sample counts as
+        still hold ``MIN_VALUES_PER_GRAD_WORKER`` input values each.
         """
         if self._active:  # the last step stopped part way, so the workers are out of step
             self.close()
-        n_blocks = max(1, min(len(self._workers) + 1, n // MIN_SAMPLES_PER_GRAD_WORKER))
-        bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
+        indices = [self._index[id(item)] for item in batch]
+        bounds = _blocks([self._sizes[i] for i in indices], len(self._workers) + 1)
         try:
             for k, (a, b) in enumerate(zip(bounds[1:], bounds[2:])):
                 for s, p in zip(self._slots[k], self._params):
                     s[...] = p
                 self._active.append((k, a, b))
-                self._workers.ask(k, (n, [self._index[id(item)] for item in batch[a:b]]))
+                self._workers.ask(k, (n, indices[a:b]))
         except BaseException:
             self.close()
             raise

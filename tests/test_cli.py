@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from echokit import checkpoint, cli, convops
+from echokit import checkpoint, cli, convops, ef, lvd
 from echokit.ef import EfModel, EfModelConfig
 from echokit.errors import ConfigurationError, ShapeError
 from echokit.lvd import LvdModel, LvdModelConfig
@@ -303,6 +303,27 @@ class TestCheckpoint:
         loaded, _ = checkpoint.load_ef_model(ck)
         clip = np.random.default_rng(2).uniform(0, 1, (8, 8, 5))
         assert loaded.predict(clip) == old.predict(clip)
+
+    @pytest.mark.parametrize("length", [240, 255])
+    def test_long_name_saves_and_replaces(self, tmp_path, length):
+        if os.pathconf(tmp_path, "PC_NAME_MAX") < length:
+            pytest.skip(f"this file system takes names of fewer than {length} bytes")
+        old, new = self.ef_model(1), self.ef_model(2)
+        ck = tmp_path / ("y" * length)
+        checkpoint.save_checkpoint(ck, "ef", old.config, old.graph)
+        checkpoint.save_checkpoint(ck, "ef", new.config, new.graph)
+        loaded, _ = checkpoint.load_ef_model(ck)
+        clip = np.random.default_rng(2).uniform(0, 1, (8, 8, 5))
+        assert loaded.predict(clip) == new.predict(clip)
+        assert [p.name for p in tmp_path.iterdir()] == [ck.name]
+
+    def test_name_the_os_refuses(self, tmp_path):
+        if os.pathconf(tmp_path, "PC_NAME_MAX") >= 300:
+            pytest.skip("this file system takes names of 300 bytes")
+        model = self.ef_model(1)
+        with pytest.raises(ConfigurationError, match="cannot write a checkpoint at .*y{300}"):
+            checkpoint.save_checkpoint(tmp_path / ("y" * 300), "ef", model.config, model.graph)
+        assert list(tmp_path.iterdir()) == []
 
     def test_directory_with_other_files_not_replaced(self, tmp_path):
         (tmp_path / "ck").mkdir()
@@ -633,6 +654,24 @@ class TestOutputPaths:
         assert code == 2
         assert_failed_report(out, "ConfigurationError",
                              f"cannot create output directory {tmp_path / 'afile'}")
+
+    @pytest.mark.parametrize("kind", ["ef", "lvd"])
+    def test_train_out_dir_the_os_refuses_fails_before_training(self, tmp_path, monkeypatch,
+                                                                 kind):
+        if os.pathconf(tmp_path, "PC_NAME_MAX") >= 300:
+            pytest.skip("this file system takes names of 300 bytes")
+        data, _ = TestDatasetFaults.dataset_and_model(tmp_path, kind)
+
+        def train_not_allowed(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(ef, "train_ef", train_not_allowed)
+        monkeypatch.setattr(lvd, "train_lvd", train_not_allowed)
+        out, ck = tmp_path / "report.json", tmp_path / ("y" * 300)
+        code = run([f"train-{kind}", "--data", str(data), "--epochs", "1",
+                    "--out-dir", str(ck), "--out", str(out)])
+        assert code == 2
+        assert_failed_report(out, "ConfigurationError", f"cannot create output directory {ck}")
 
     @pytest.mark.parametrize("where", ["adir", "afile/report.json"])
     def test_report_that_cannot_be_written_exits_2(self, tmp_path, capsys, where):

@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from echokit import convops, ef, lvd, parallel
+from echokit import checkpoint, convops, ef, lvd, parallel
 from echokit.convops import conv_spatial
 from echokit.datasets import build_ef_samples, build_lvd_samples, write_ef_dataset
 from echokit.errors import DomainError, ShapeError
@@ -87,7 +87,7 @@ def grad_forks(request, monkeypatch):
     """A gradient worker for every CPU beyond the caller's, on a 2- or 3-CPU
     host, at one sample each, under an alarm; returns the pids of the
     children forked."""
-    monkeypatch.setattr(parallel, "MIN_SAMPLES_PER_GRAD_WORKER", 1)
+    monkeypatch.setattr(parallel, "MIN_VALUES_PER_GRAD_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
     yield from under_alarm(count_forks(monkeypatch))
 
@@ -121,7 +121,7 @@ def in_process(fn, *args):
     """*fn(*args)* with every map and gradient step held in process."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parallel, "MIN_ITEMS_PER_WORKER", 10**9)
-        mp.setattr(parallel, "MIN_SAMPLES_PER_GRAD_WORKER", 10**9)
+        mp.setattr(parallel, "MIN_VALUES_PER_GRAD_WORKER", 10**9)
         return fn(*args)
 
 
@@ -365,7 +365,7 @@ class TestInProcess:
         assert parallel.map_in_order(square, range(8)) == [x * x for x in range(8)]
 
     def test_training_inside_a_worker(self, monkeypatch):
-        monkeypatch.setattr(parallel, "MIN_SAMPLES_PER_GRAD_WORKER", 1)
+        monkeypatch.setattr(parallel, "MIN_VALUES_PER_GRAD_WORKER", 1)
         monkeypatch.setattr(parallel, "_in_map", True)
         tiny_run("mse")
 
@@ -427,7 +427,38 @@ def lvd_run():
     return run_record(model.graph, result)
 
 
+def ef_16_params(out):
+    """The params.ctr bytes of an EF fit at the benchmark's frame size and
+    batch: 16 training clips of 16x16 and 17 to 21 frames, in batches of 8."""
+    samples = build_ef_samples(EfDatasetSpec(n_videos=20, seed=3))
+    config = TrainConfig(learning_rate=3e-3, batch_size=8, epochs=2, seed=5)
+    model = ef.EfModel.build(ef.EfModelConfig(encoder_dim=16, seed=5))
+    model, result = ef.train_ef(model, samples, config)
+    assert len(result.train) == 16
+    assert {s.clip.sub_video.shape[:2] for s in samples} == {(16, 16)}
+    return params_ctr(model, "ef", out)
+
+
+def lvd_params(out, frame, batch_size):
+    """The params.ctr bytes of an LVD fit on 16 training frames of
+    *frame* x *frame*."""
+    samples = build_lvd_samples(LvdDatasetSpec(
+        n_frames=20, scene=LvdSceneParams.for_frame((frame, frame)), seed=6,
+    ))
+    config = TrainConfig(learning_rate=3e-3, batch_size=batch_size, epochs=2, seed=6)
+    model = lvd.LvdModel.build(lvd.LvdModelConfig(frame_shape=(frame, frame), seed=6))
+    model, result = lvd.train_lvd(model, samples, config, coord_coef=0.5)
+    assert len(result.train) == 16
+    return params_ctr(model, "lvd", out)
+
+
+def params_ctr(model, kind, out) -> bytes:
+    checkpoint.save_checkpoint(out, kind, model.config, model.graph)
+    return (out / "params.ctr").read_bytes()
+
+
 N_PAIRS, FIT_SEED = 6, 4
+TINY_VALUES = 10  # input values of one tiny_run pair
 
 
 def tiny_run(loss, n_pairs=N_PAIRS, batch_size=N_PAIRS):
@@ -481,17 +512,37 @@ class TestForkedTraining:
     def test_batch_of_one_block_forks_nothing(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         pids = count_forks(monkeypatch)
-        tiny_run("mse", 8, 8)  # below two blocks of MIN_SAMPLES_PER_GRAD_WORKER
+        tiny_run("mse", 8, 8)  # 80 values: below two blocks of MIN_VALUES_PER_GRAD_WORKER
         assert pids == []
-        monkeypatch.setattr(parallel, "MIN_SAMPLES_PER_GRAD_WORKER", 4)
+        monkeypatch.setattr(parallel, "MIN_VALUES_PER_GRAD_WORKER", 4 * TINY_VALUES)
         tiny_run("mse", 8, 8)
         assert len(pids) == 1
+        assert_no_children()
+
+    def test_ef_batch_of_8_clips_forks_one_worker(self, usable_cpus, monkeypatch, tmp_path):
+        # 2 clips of 16x16x17 or more hold 8,192 values: the batch splits 4 + 4
+        usable_cpus(2)
+        expected = in_process(ef_16_params, tmp_path / "in_process")
+        pids = count_forks(monkeypatch)
+        assert ef_16_params(tmp_path / "forked") == expected
+        assert len(pids) == 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("batch_size, n_forks", [(8, 0), (16, 1)])
+    def test_lvd_32x32_forks_at_8_frames_a_block(self, usable_cpus, monkeypatch, tmp_path,
+                                                 batch_size, n_forks):
+        # 8 frames of 32x32 hold 8,192 values, 4 frames too few to fork for
+        usable_cpus(2)
+        expected = in_process(lvd_params, tmp_path / "in_process", 32, batch_size)
+        pids = count_forks(monkeypatch)
+        assert lvd_params(tmp_path / "forked", 32, batch_size) == expected
+        assert len(pids) == n_forks
         assert_no_children()
 
     @pytest.mark.parametrize("refuse_from, refused", [(1, "fork"), (2, "fork"), (1, "pipe"), (2, "pipe")],
                              ids=["1", "2", "1-pipe", "2-pipe"])
     def test_refused_fork_trains_with_the_workers_it_got(self, monkeypatch, refuse_from, refused):
-        monkeypatch.setattr(parallel, "MIN_SAMPLES_PER_GRAD_WORKER", 1)
+        monkeypatch.setattr(parallel, "MIN_VALUES_PER_GRAD_WORKER", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         expected = in_process(tiny_run, "mse")
         pids = refuse(monkeypatch, refused, refuse_from)
@@ -505,7 +556,7 @@ class TestForkedTraining:
         # until a full collection, and peak RSS would grow with every fit.
         gc.disable()
         try:
-            with parallel.GradientPool(lambda item, n: 0.0, [0, 1], [np.zeros(2)],
+            with parallel.GradientPool(lambda item, n: 0.0, [0, 1], [1, 1], [np.zeros(2)],
                                        [np.zeros(2)], 2) as pool:
                 freed = weakref.ref(pool)
             del pool
@@ -572,6 +623,97 @@ class TestForkedTrainingErrors:
         assert len(grad_forks) == n_workers()
         assert_no_children()
         assert open_fds() == fds
+
+
+# numpy's OpenBLAS on one thread while workers live.
+
+needs_openblas = pytest.mark.skipif(parallel._blas_threads() is None,
+                                    reason="numpy's OpenBLAS thread calls were not found")
+
+
+@pytest.fixture
+def blas_at_2():
+    """numpy's OpenBLAS on 2 threads for the test; its count is restored after."""
+    found = parallel._blas_threads(2)
+    yield
+    parallel._blas_threads(found)
+
+
+def blas_threads_term(item, n):
+    """A gradient term that reports, as its loss value, the BLAS thread
+    count where it runs."""
+    return float(parallel._blas_threads())
+
+
+@needs_openblas
+class TestBlasPin:
+    def test_map_worker_and_caller_on_one_thread(self, forks, blas_at_2):
+        assert parallel.map_in_order(lambda x: parallel._blas_threads(), range(2)) == [1, 1]
+        assert len(forks) == 1
+        assert parallel._blas_threads() == 2
+        assert_no_children()
+
+    def test_gradient_workers_and_a_nested_map(self, grad_forks, blas_at_2, monkeypatch):
+        monkeypatch.setattr(parallel, "MIN_ITEMS_PER_WORKER", 1)
+        items, grads = list(range(n_workers() + 1)), [np.zeros(1)]
+        with parallel.GradientPool(blas_threads_term, items, [1] * len(items), [np.zeros(1)],
+                                   grads, len(items)) as pool:
+            assert parallel._blas_threads() == 1
+            assert pool.start(items, len(items)) == 1
+            assert pool.add_terms(grads) == [1.0] * n_workers()
+            assert parallel.map_in_order(square, range(4)) == [0, 1, 4, 9]
+            assert parallel._blas_threads() == 1
+        assert parallel._blas_threads() == 2
+        assert len(grad_forks) == 2 * n_workers()
+        assert_no_children()
+
+    def test_count_restored_after_a_step_that_raises(self, grad_forks, blas_at_2):
+        def fail_in_a_worker(item, n):
+            if item:
+                raise DomainError(f"item {item} is out of range")
+            return 0.0
+
+        items, grads = list(range(n_workers() + 1)), [np.zeros(1)]
+        with parallel.GradientPool(fail_in_a_worker, items, [1] * len(items), [np.zeros(1)],
+                                   grads, len(items)) as pool:
+            pool.start(items, len(items))
+            with pytest.raises(DomainError, match="item 1 is out of range"):
+                pool.add_terms(grads)
+            assert parallel._blas_threads() == 2
+        assert parallel._blas_threads() == 2
+        assert_no_children()
+
+    @pytest.mark.parametrize("missing", ["symbol", "library"])
+    def test_missing_thread_calls_change_nothing(self, grad_forks, blas_at_2, monkeypatch,
+                                                 missing):
+        def load():
+            if missing == "library":
+                raise OSError("cannot open shared object file")
+            return object()  # a library without the thread calls
+
+        expected = in_process(tiny_run, "mse")
+        with monkeypatch.context() as mp:
+            mp.setattr(parallel, "_openblas", load)
+            assert parallel._blas_threads(1) is None
+            assert tiny_run("mse") == expected
+        assert len(grad_forks) == n_workers()
+        assert parallel._blas_threads() == 2
+        assert_no_children()
+
+
+@needs_openblas
+@pytest.mark.parametrize("train", [ef_16_params, lambda out: lvd_params(out, 64, 16)],
+                         ids=["ef", "lvd"])
+def test_params_bytes_equal_at_1_and_2_blas_threads(train, tmp_path):
+    found = parallel._blas_threads()
+    try:
+        params = []
+        for threads in (1, 2):
+            parallel._blas_threads(threads)
+            params.append(in_process(train, tmp_path / f"threads_{threads}"))
+    finally:
+        parallel._blas_threads(found)
+    assert params[0] == params[1]
 
 
 # Threaded runs: the caller's run 0 and one short-lived thread per other run.
