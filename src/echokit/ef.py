@@ -173,8 +173,15 @@ def _group_by_video(samples, values=None):
     return groups
 
 
-def evaluate_mae(model: EfModel, samples) -> float:
-    """Mean absolute EF error in percent points.
+def _predictor(model: EfModel):
+    """One sample's EF prediction in percent.  ``predict_ef`` is looked up
+    at each call, so a patched binding reaches forked workers."""
+    return lambda s: predict_ef(model, s.clip)
+
+
+def score_mae(samples, preds) -> float:
+    """Mean absolute EF error in percent points of *preds*, one prediction
+    per sample in sample order.
 
     Predictions of multiple beats from one video are averaged before the
     absolute error (an assumption: the evaluation protocol for multi-beat
@@ -182,13 +189,16 @@ def evaluate_mae(model: EfModel, samples) -> float:
     """
     if not samples:
         raise ShapeError("empty dataset")
-    # predict_ef is looked up per call, so a patched binding reaches the workers.
-    preds = map_in_order(lambda s: predict_ef(model, s.clip), samples)
     errors = [
         abs(float(np.mean(group)) - truth)
         for group, truth in zip(_group_by_video(samples, preds).values(), video_truths(samples))
     ]
     return float(np.mean(errors))
+
+
+def evaluate_mae(model: EfModel, samples) -> float:
+    """``score_mae`` of the model's predictions, made on every usable CPU."""
+    return score_mae(samples, map_in_order(_predictor(model), samples))
 
 
 def video_truths(samples) -> list[float]:
@@ -222,8 +232,8 @@ def train_ef(model: EfModel, samples, config: TrainConfig) -> tuple[EfModel, Tra
         (model.prepare_input(s.clip), np.array([s.ef_true / OUTPUT_SCALE]))
         for s in train
     ]
-    result = fit(model.graph, pairs, config.loss,
-                 lambda part: evaluate_mae(model, part), train, val, config)
+    result = fit(model.graph, pairs, config.loss, _predictor(model), score_mae,
+                 train, val, config)
     return model, result
 
 

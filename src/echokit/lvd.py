@@ -316,8 +316,15 @@ class LvdEvaluation:
         }
 
 
-def evaluate_lvd(model: LvdModel, samples) -> LvdEvaluation:
-    """Per-dimension MAE in millimeters over a sample list.
+def _predictor(model: LvdModel):
+    """One sample's predicted dimensions.  ``predict_keypoints`` is looked
+    up at each call, so a patched binding reaches forked workers."""
+    return lambda s: dimensions_from_keypoints(predict_keypoints(model, s.frame), s.calibration)
+
+
+def score_lvd(samples, preds) -> LvdEvaluation:
+    """Per-dimension MAE in millimeters of *preds*, one predicted
+    ``LvDimensions`` per sample in sample order.
 
     Zero predicted dimensions are recorded as degenerate warnings, not
     errors.
@@ -326,11 +333,6 @@ def evaluate_lvd(model: LvdModel, samples) -> LvdEvaluation:
         raise ShapeError("empty dataset")
     errors = np.zeros((len(samples), 3))
     degenerate = []
-    # predict_keypoints is looked up per call, so a patched binding reaches the workers.
-    preds = map_in_order(
-        lambda s: dimensions_from_keypoints(predict_keypoints(model, s.frame), s.calibration),
-        samples,
-    )
     for i, (sample, pred) in enumerate(zip(samples, preds)):
         if pred.is_degenerate():
             zero_dims = [
@@ -343,6 +345,11 @@ def evaluate_lvd(model: LvdModel, samples) -> LvdEvaluation:
         mae_ivs=float(mae[0]), mae_lvid=float(mae[1]), mae_lvpw=float(mae[2]),
         n_samples=len(samples), degenerate=degenerate,
     )
+
+
+def evaluate_lvd(model: LvdModel, samples) -> LvdEvaluation:
+    """``score_lvd`` of the model's predictions, made on every usable CPU."""
+    return score_lvd(samples, map_in_order(_predictor(model), samples))
 
 
 def constant_baseline_mae(samples, dims: LvDimensions | None = None) -> LvdEvaluation:
@@ -383,8 +390,8 @@ def train_lvd(model: LvdModel, samples, config: TrainConfig,
         )
         for s in train
     ]
-    result = fit(model.graph, pairs, objective,
-                 lambda part: evaluate_lvd(model, part).mean_mae, train, val, config)
+    result = fit(model.graph, pairs, objective, _predictor(model),
+                 lambda part, preds: score_lvd(part, preds).mean_mae, train, val, config)
     result.weights = weights
     return model, result
 

@@ -7,9 +7,11 @@ processes without changing a bit.  One private core, ``_Workers``, forks
 the workers of both: each inherits its work by fork, answers pickled
 requests through its own pair of pipes, can share one ``mmap`` slot of
 floats with the caller, and is reaped by one ``close``.  ``map_in_order``
-sends each worker a block of items; ``GradientPool`` keeps its workers for
-a whole training run and passes parameters and gradient terms through the
-slots.  A convolution's output slabs are independent of each other, so
+forks workers for one map and sends each a block of items.
+``GradientPool`` keeps its workers for a whole training run and does all
+of its parallel work, each step's gradient terms and each epoch's
+predictions, passing parameters and running sums through the slots.
+A convolution's output slabs are independent of each other, so
 ``threaded_runs`` sweeps contiguous runs of them in threads that write
 straight into one shared output.  One rule, ``_n_cpus``, says how many
 CPUs a piece of work may use: one inside a forked map or worker, and one
@@ -352,63 +354,83 @@ def _blocks(sizes: list[int], most: int) -> list[int]:
 
 
 class GradientPool:
-    """Forked workers that compute the per-sample gradient terms of a batch.
+    """Forked workers that do a training run's parallel work: the
+    per-sample gradient terms of each batch, and each epoch's predictions.
 
     *term(item, n)* overwrites the arrays *grads* with *item*'s term of an
     *n*-sample batch gradient and returns the item's loss value, reading
     the model from the arrays *params*.  *sizes* holds each item's count of
-    input values.  The pool forks one worker per usable CPU beyond the
-    caller's, as many as the largest batch of *batch_size* items can give
-    ``MIN_VALUES_PER_GRAD_WORKER`` values each.  Workers inherit *term*,
-    *items* and the model by fork and are sent only item indices.  The
-    pool forks none on one usable CPU, without ``os.fork``, while a second
-    thread is alive, or inside a map or worker, and keeps the workers it
-    got if the system refuses a slot, a pipe or a fork.
+    input values.  *predict(x)* gives one prediction of each of the
+    *evaluated* items from the same model.  Workers inherit *term*,
+    *predict*, *items*, *evaluated* and the model by fork and are sent only
+    indices and slices, so *predict* sees every module binding the caller
+    patched before the pool opened.
+
+    The pool forks one worker per usable CPU beyond the caller's, as many
+    as the larger of two counts allows: the blocks of
+    ``MIN_VALUES_PER_GRAD_WORKER`` input values the largest batch of
+    *batch_size* items holds, and the blocks of ``MIN_ITEMS_PER_WORKER``
+    the evaluated items hold.  It forks none on one usable CPU, without
+    ``os.fork``, while a second thread is alive, or inside a map or worker,
+    and keeps the workers it got if the system refuses a slot, a pipe or a
+    fork.
 
     Each worker shares one anonymous ``mmap`` slot the size of *params*
     with the caller.  A step (``start``, then ``add_terms``) writes the
     current parameters into the slot of each worker it uses and sends that
-    worker the indices of its block.  The worker computes its block's terms
-    into private memory, then hands them back through the slot one at a
-    time, and the caller adds each to its gradients in sample order.
+    worker the indices of its block; the worker computes its block's terms
+    into private memory.  Once the caller has added its own block's terms,
+    it writes that partial sum into the slot, the worker adds its terms to
+    it in sample order, and the caller reads it back: two requests per
+    worker per step.  ``predict_all`` writes the parameters likewise and
+    maps *predict* over *evaluated* in contiguous blocks, the first in the
+    caller.
 
     Use the pool as a context manager: leaving it closes every pipe and
-    reaps every worker, and so does a step that raises, after which steps
-    run in process.
+    reaps every worker, and so does a step or map that raises, after which
+    all work runs in process.
     """
 
     def __init__(self, term, items, sizes: list[int], params: list[np.ndarray],
-                 grads: list[np.ndarray], batch_size: int):
+                 grads: list[np.ndarray], batch_size: int, predict=None, evaluated=()):
         self._params = params
         self._index = {id(item): i for i, item in enumerate(items)}
         self._sizes = sizes
-        self._active: list[tuple[int, int, int]] = []  # this step's workers and blocks
+        self._predict = predict
+        self._evaluated = evaluated = list(evaluated)
+        self._active: list[tuple[int, int]] = []  # this step's workers and first samples
         terms = np.empty((0, 0))  # a worker's terms of its block, one per row
+        n_terms = 0
 
         def serve(request, slot: np.ndarray):
-            """A worker's reply to a step, ``(n, indices)``: the parameters
-            are read from *slot*, the block's terms computed, its loss values
-            returned and term 0 put in *slot*.  To ``j``: term j put in *slot*.
-            It refers to no pool: in a reference cycle, a pool would keep
-            its slots mapped until a full collection."""
-            nonlocal terms
-            if isinstance(request, int):
-                slot[...] = terms[request]
+            """A worker's reply to ``("step", n, indices)``: the block's terms
+            computed from the parameters in *slot*, and its loss values
+            returned.  To ``("add",)``: the terms added to *slot* in sample
+            order.  To ``("predict", block)``: *predict* over that slice of
+            *evaluated*, from the parameters in *slot*.  It refers to no
+            pool: in a reference cycle, a pool would keep its slots mapped
+            until a full collection."""
+            nonlocal terms, n_terms
+            if request[0] == "add":
+                for row in terms[:n_terms]:
+                    slot += row
                 return None
-            n, indices = request
             for p, s in zip(params, _views(slot, params)):
                 p[...] = s
+            if request[0] == "predict":
+                return [predict(x) for x in evaluated[request[1]]]
+            _, n, indices = request
             if len(terms) < len(indices):
                 terms = np.empty((len(indices), slot.size))
-            values = []
+            n_terms, values = len(indices), []
             for row, i in zip(terms, indices):
                 values.append(term(items[i], n))
                 np.concatenate([g.ravel() for g in grads], out=row)
-            slot[...] = terms[0]
             return values
 
         most = sum(sorted(sizes)[-batch_size:])  # values in the largest batch
-        n_workers = _n_blocks(most, MIN_VALUES_PER_GRAD_WORKER) - 1
+        self._eval_blocks = _n_blocks(len(self._evaluated), MIN_ITEMS_PER_WORKER)
+        n_workers = max(_n_blocks(most, MIN_VALUES_PER_GRAD_WORKER), self._eval_blocks) - 1
         self._workers = _Workers(serve, n_workers, sum(p.size for p in params))
         self._slots = [_views(slot, params) for slot in self._workers.slots]
 
@@ -417,6 +439,13 @@ class GradientPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def _send(self, k: int, request) -> None:
+        """Write the current parameters into worker *k*'s slot, then send it
+        *request*."""
+        for s, p in zip(self._slots[k], self._params):
+            s[...] = p
+        self._workers.ask(k, request)
 
     def start(self, batch, n: int) -> int:
         """Send each worker the current parameters and its block of *batch*,
@@ -434,38 +463,73 @@ class GradientPool:
         bounds = _blocks([self._sizes[i] for i in indices], len(self._workers) + 1)
         try:
             for k, (a, b) in enumerate(zip(bounds[1:], bounds[2:])):
-                for s, p in zip(self._slots[k], self._params):
-                    s[...] = p
-                self._active.append((k, a, b))
-                self._workers.ask(k, (n, indices[a:b]))
+                self._active.append((k, a))
+                self._send(k, ("step", n, indices[a:b]))
         except BaseException:
             self.close()
             raise
         return bounds[1]
 
     def add_terms(self, grads: list[np.ndarray]) -> list[float]:
-        """Add the started workers' terms into *grads* in sample order, and
-        return their loss values in sample order.
+        """Add the started workers' terms to *grads*, which hold the sum of
+        the caller's block, in sample order; return their loss values in
+        sample order.
 
-        A worker's exception is raised as it was raised there; a worker
-        that ends without its terms raises ChildProcessError.
+        The running sum passes from *grads* into each worker's slot and
+        back, in worker order, one ``("add",)`` request each, so it is
+        ``((0 + c0) + c1) + ...`` as in process.  A worker's exception is
+        raised as it was raised there; a worker that ends without its terms
+        raises ChildProcessError.
         """
         values = []
         try:
-            for k, a, b in self._active:
+            for k, a in self._active:
                 what = f"for samples from {a} on"
                 values.extend(self._workers.answer(k, what))
-                for j in range(b - a):
-                    if j:
-                        self._workers.ask(k, j)
-                        self._workers.answer(k, what)
-                    for g, term in zip(grads, self._slots[k]):
-                        g += term
+                for s, g in zip(self._slots[k], grads):
+                    s[...] = g
+                self._workers.ask(k, ("add",))
+                self._workers.answer(k, what)
+                for g, s in zip(grads, self._slots[k]):
+                    g[...] = s
         except BaseException:
             self.close()
             raise
         self._active = []
         return values
+
+    def predict_all(self) -> list:
+        """``[predict(x) for x in evaluated]`` from the current parameters.
+
+        The items are cut into contiguous blocks of near-equal counts, at
+        most one per worker beyond the caller's and each at least
+        ``MIN_ITEMS_PER_WORKER``.  The caller maps block 0 with ``_in_map``
+        set, so nothing in it forks or starts threads, while each worker
+        maps one other block.  The exception of the first failing block is
+        raised, the one the list comprehension would raise; a worker that
+        ends without its results raises ChildProcessError.
+        """
+        global _in_map
+        if self._active:  # the last step stopped part way, so the workers are out of step
+            self.close()
+        items = self._evaluated
+        n_blocks = min(self._eval_blocks, len(self._workers) + 1)
+        if n_blocks == 1:
+            return [self._predict(x) for x in items]
+        bounds = [len(items) * k // n_blocks for k in range(n_blocks + 1)]
+        try:
+            for k in range(n_blocks - 1):
+                self._send(k, ("predict", slice(bounds[k + 1], bounds[k + 2])))
+            _in_map = True
+            results = [self._predict(x) for x in items[: bounds[1]]]
+            for k in range(n_blocks - 1):
+                results.extend(self._workers.answer(k, f"predicting items from {bounds[k + 1]} on"))
+            return results
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            _in_map = False
 
     def close(self) -> None:
         """Close every pipe, so that each worker reads EOF or fails its

@@ -413,6 +413,30 @@ def train_loop_reference(graph, pairs, loss, evaluate, train, val, config):
     return history, best_epoch, best_val_mae
 
 
+# The optimizer steps as whole-array expressions, as they were written before
+# they updated in blocks through scratch buffers.  The package's steps must
+# reproduce them bit for bit.
+
+
+def sgd_step_reference(params, grads, learning_rate):
+    for p, g in zip(params, grads):
+        p -= learning_rate * g
+
+
+def adam_step_reference(params, grads, state, learning_rate, beta1=0.9, beta2=0.999,
+                        eps=1e-8):
+    """*state* holds lists ``m`` and ``v`` and a step count ``t``."""
+    state.t += 1
+    correction1 = 1.0 - beta1**state.t
+    correction2 = 1.0 - beta2**state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= learning_rate * (m / correction1) / (np.sqrt(v / correction2) + eps)
+
+
 # The LVD objective as it was written before its length term went through
 # lvd_loss and lvd_loss_grad.  The package's objective must match it to
 # rounding: the sums are the same, grouped differently.

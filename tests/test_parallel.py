@@ -404,17 +404,19 @@ def run_record(graph, result):
             b"".join(p.tobytes() for p in graph.params()))
 
 
-def ef_run(loss):
+def ef_run(loss, out=None):
+    """The run record of an EF fit, and its params.ctr bytes if *out* is given."""
     # 16 training samples in batches of 6: 6, 6 and a ragged 4
     samples = build_ef_samples(EfDatasetSpec(n_videos=10, frame_dims=(12, 12), n_beats=2, seed=3))
     config = TrainConfig(learning_rate=3e-3, batch_size=6, epochs=2, seed=5, loss=loss)
     model = ef.EfModel.build(ef.EfModelConfig(frame_shape=(12, 12), encoder_dim=8, seed=5))
     model, result = ef.train_ef(model, samples, config)
     assert len(result.train) % config.batch_size == 4
-    return run_record(model.graph, result)
+    return run_record(model.graph, result) + ((params_ctr(model, "ef", out),) if out else ())
 
 
-def lvd_run():
+def lvd_run(out=None):
+    """The run record of an LVD fit, and its params.ctr bytes if *out* is given."""
     # 16 training frames in batches of 5: 5, 5, 5 and a ragged 1
     samples = build_lvd_samples(LvdDatasetSpec(
         n_frames=20, scene=LvdSceneParams.for_frame((32, 32)), seed=6,
@@ -424,7 +426,7 @@ def lvd_run():
                                                   hidden=16, seed=6))
     model, result = lvd.train_lvd(model, samples, config, coord_coef=0.5)
     assert len(result.train) % config.batch_size == 1
-    return run_record(model.graph, result)
+    return run_record(model.graph, result) + ((params_ctr(model, "lvd", out),) if out else ())
 
 
 def ef_16_params(out):
@@ -461,14 +463,24 @@ N_PAIRS, FIT_SEED = 6, 4
 TINY_VALUES = 10  # input values of one tiny_run pair
 
 
-def tiny_run(loss, n_pairs=N_PAIRS, batch_size=N_PAIRS):
-    """fit on a small Conv1d model; the targets number the pairs."""
+def tiny_score(pairs, preds) -> float:
+    """Mean absolute error of one prediction per pair."""
+    return float(np.mean([abs(pred - target[0]) for (_, target), pred in zip(pairs, preds)]))
+
+
+def tiny_run(loss, n_pairs=N_PAIRS, batch_size=N_PAIRS, predict=None):
+    """fit on a small Conv1d model; the targets number the pairs.  Each
+    epoch scores *predict*'s predictions of the pairs, by default the
+    model's own."""
     rng = np.random.default_rng(8)
     pairs = [(rng.standard_normal((5, 2)), np.array([float(k)])) for k in range(n_pairs)]
     graph = ModelGraph([Conv1d(2, 3, 3, padding="same", rng=rng), Swish(),
                         GlobalMaxPool1d(), Dense(3, 1, rng=rng)])
     config = TrainConfig(learning_rate=1e-2, batch_size=batch_size, epochs=3, seed=FIT_SEED)
-    result = fit(graph, pairs, loss, lambda part: 0.0, pairs, [], config)
+    if predict is None:
+        def predict(pair):
+            return float(graph.forward(pair[0])[0])
+    result = fit(graph, pairs, loss, predict, tiny_score, pairs, [], config)
     return run_record(graph, result)
 
 
@@ -623,6 +635,85 @@ class TestForkedTrainingErrors:
         assert len(grad_forks) == n_workers()
         assert_no_children()
         assert open_fds() == fds
+
+
+# Evaluation on the gradient pool: each epoch's predictions run on the
+# workers fit already forked.
+
+
+@pytest.fixture
+def eval_forks(grad_forks, monkeypatch):
+    """grad_forks, with the evaluated items also cut into one block per CPU."""
+    monkeypatch.setattr(parallel, "MIN_ITEMS_PER_WORKER", 1)
+    return grad_forks
+
+
+def raise_for(targets, error=DomainError):
+    """A tiny_run prediction that raises *error* for the pairs numbered in
+    *targets*: from 3 on, workers predict them on 2 and 3 CPUs."""
+    def predict(pair):
+        if pair[1][0] in targets:
+            raise error(f"pair {pair[1][0]:g} cannot be predicted")
+        return 0.0
+
+    return predict
+
+
+class TestEvaluationOnThePool:
+    @pytest.mark.parametrize("run", [lambda out: ef_run("mae", out), lvd_run],
+                             ids=["ef", "lvd"])
+    def test_history_best_epoch_and_params_bit_equal(self, eval_forks, run, tmp_path):
+        expected = in_process(run, tmp_path / "in_process")
+        assert eval_forks == []
+        assert run(tmp_path / "forked") == expected
+        assert len(eval_forks) == n_workers()
+        assert_no_children()
+
+    def test_only_the_pools_workers_fork(self, grad_forks):
+        # 70 evaluated pairs make more than two blocks of MIN_ITEMS_PER_WORKER,
+        # and tiny_run trains 3 epochs: no epoch forks again.
+        assert 70 > 2 * parallel.MIN_ITEMS_PER_WORKER
+        expected = in_process(tiny_run, "mse", 70, 35)
+        assert tiny_run("mse", 70, 35) == expected
+        assert len(grad_forks) == n_workers()
+        assert_no_children()
+
+    @pytest.mark.parametrize("targets", [(3.0, 5.0), (0.0, 4.0)], ids=["worker", "caller"])
+    def test_predict_error_raised_as_in_process(self, eval_forks, targets):
+        with pytest.raises(DomainError) as sequential:
+            in_process(tiny_run, "mse", N_PAIRS, N_PAIRS, raise_for(targets))
+        with pytest.raises(DomainError) as forked:
+            tiny_run("mse", predict=raise_for(targets))
+        assert str(forked.value) == str(sequential.value) == f"pair {targets[0]:g} cannot be predicted"
+        assert len(eval_forks) == n_workers()
+        assert_no_children()
+
+    def test_worker_killed_during_the_evaluation(self, eval_forks):
+        caller = os.getpid()
+
+        def die(pair):
+            if pair[1][0] == 4.0:
+                assert os.getpid() != caller, "pair 4 was predicted in the calling process"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return 0.0
+
+        fds = open_fds()
+        with pytest.raises(ChildProcessError, match="predicting items from"):
+            tiny_run("mse", predict=die)
+        assert_no_children()
+        assert open_fds() == fds
+
+    def test_patched_predict_ef_reaches_the_workers(self, eval_forks, monkeypatch):
+        monkeypatch.setattr(ef, "predict_ef", lambda model, clip: 50.0)
+        samples = build_ef_samples(EfDatasetSpec(n_videos=10, frame_dims=(12, 12), n_beats=2,
+                                                 seed=3))
+        config = TrainConfig(learning_rate=3e-3, batch_size=6, epochs=2, seed=5)
+        model = ef.EfModel.build(ef.EfModelConfig(frame_shape=(12, 12), encoder_dim=8, seed=5))
+        _, result = ef.train_ef(model, samples, config)
+        expected = (ef.baseline_mae(result.train, 50.0), ef.baseline_mae(result.val, 50.0))
+        assert [(h.train_mae, h.val_mae) for h in result.history] == [expected] * 2
+        assert len(eval_forks) == n_workers()
+        assert_no_children()
 
 
 # numpy's OpenBLAS on one thread while workers live.

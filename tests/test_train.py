@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from echokit.nn import (
 from echokit.nn import train as nn_train
 from echokit.nn.gradcheck import batch_loss, check_model_subset
 from echokit.synth import EfDatasetSpec, LvdDatasetSpec, LvdSceneParams
-from oracles import train_loop_reference
+from oracles import adam_step_reference, sgd_step_reference, train_loop_reference
 
 
 def tiny_model(seed=0):
@@ -199,6 +201,94 @@ class TestOptimizers:
         assert after < before
 
 
+UPDATE_SIZES = [1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5]  # around nn_train.UPDATE_BLOCK
+SPECIAL_GRADS = (0.0, -0.0, 1e-300, -1e-300)
+
+
+def optimizer_case(size, n_steps=4):
+    """Parameters of *size* values and a (2, 3) array, and a gradient list
+    per step, each with +-0.0 and +-1e-300 planted among normal values."""
+    rng = np.random.default_rng(size)
+    params = [rng.standard_normal(size), rng.standard_normal((2, 3))]
+    steps = []
+    for step in range(n_steps):
+        grads = [rng.standard_normal(p.shape) for p in params]
+        for g in grads:
+            flat = g.reshape(-1)
+            for j, special in enumerate(SPECIAL_GRADS):
+                flat[(j + 2 * step) % 7 :: 7] = special
+        steps.append(grads)
+    return params, steps
+
+
+def adam_snapshot(params, state):
+    return ([p.tobytes() for p in params], [m.tobytes() for m in state.m],
+            [v.tobytes() for v in state.v], state.t)
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedOptimizers:
+    """The steps update in blocks, bit-equal to whole-array expressions."""
+
+    @pytest.mark.parametrize("size", UPDATE_SIZES)
+    def test_adam_bit_equal_to_whole_arrays(self, size):
+        params, steps = optimizer_case(size)
+        ref = [p.copy() for p in params]
+        state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
+        for grads in steps:
+            adam_step(params, grads, state, 1e-2)
+            adam_step_reference(ref, grads, ref_state, 1e-2)
+            assert adam_snapshot(params, state) == adam_snapshot(ref, ref_state)
+
+    @pytest.mark.parametrize("size", UPDATE_SIZES)
+    def test_sgd_bit_equal_to_whole_arrays(self, size):
+        params, steps = optimizer_case(size)
+        ref = [p.copy() for p in params]
+        for grads in steps:
+            sgd_step(params, grads, 1e-2)
+            sgd_step_reference(ref, grads, 1e-2)
+            assert [p.tobytes() for p in params] == [p.tobytes() for p in ref]
+
+    @pytest.mark.parametrize("bad", ["grads", "m", "v", "m_length", "v_length"])
+    def test_adam_mismatch_in_the_last_array_changes_nothing(self, bad):
+        params, (grads, later) = optimizer_case(5, n_steps=2)
+        state = AdamState.for_params(params)
+        adam_step(params, grads, state, 1e-2)  # nonzero moments, t = 1
+        if bad == "grads":
+            later[-1] = np.ones((3, 2))
+        elif bad in ("m", "v"):
+            getattr(state, bad)[-1] = np.zeros((3, 2))
+        else:
+            getattr(state, bad[0]).pop()
+        before = adam_snapshot(params, state)
+        with pytest.raises(ShapeError):
+            adam_step(params, later, state, 1e-2)
+        assert adam_snapshot(params, state) == before
+
+    def test_sgd_mismatch_in_the_last_array_changes_nothing(self):
+        params, (grads,) = optimizer_case(5, n_steps=1)
+        grads[-1] = np.ones((3, 2))
+        before = [p.tobytes() for p in params]
+        with pytest.raises(ShapeError):
+            sgd_step(params, grads, 1e-2)
+        assert [p.tobytes() for p in params] == before
+
+    def test_steps_hold_no_parameter_sized_temporary(self):
+        rng = np.random.default_rng(2)
+        params, grads = [rng.standard_normal(2**19)], [rng.standard_normal(2**19)]  # 4 MB each
+        state = AdamState.for_params(params)
+        assert traced_peak(lambda: adam_step(params, grads, state, 1e-2)) < params[0].nbytes / 8
+        assert traced_peak(lambda: sgd_step(params, grads, 1e-2)) < params[0].nbytes / 8
+
+
 class TestTrainConfig:
     def test_defaults(self):
         config = TrainConfig()
@@ -276,9 +366,25 @@ class TestFit:
         rng = np.random.default_rng(8)
         pairs = [(rng.standard_normal((5, 2)), np.array([0.0])) for _ in range(4)]
         with pytest.raises(DomainError, match="training loss is nan at epoch 0, batch 1"):
-            fit(tiny_model(8), pairs, loss, lambda part: 0.0, pairs, [],
-                TrainConfig(batch_size=1, epochs=2))
+            fit(tiny_model(8), pairs, loss, lambda pair: 0.0, lambda items, preds: 0.0,
+                pairs, [], TrainConfig(batch_size=1, epochs=2))
         assert len(steps) == 1
+
+    def test_empty_val_predicts_each_item_once_an_epoch(self):
+        calls = []
+
+        def predict(pair):
+            calls.append(pair)
+            return 0.0
+
+        rng = np.random.default_rng(8)
+        pairs = [(rng.standard_normal((5, 2)), np.array([0.0])) for _ in range(4)]
+        result = fit(tiny_model(8), pairs, "mse", predict, lambda items, preds: float(len(calls)),
+                     pairs, [], TrainConfig(batch_size=2, epochs=3))
+        assert len(calls) == 3 * len(pairs)
+        assert [(h.train_mae, h.val_mae) for h in result.history] == [(4.0, 4.0), (8.0, 8.0),
+                                                                      (12.0, 12.0)]
+        assert result.val is pairs
 
     def test_lvd_matches_reference_loop(self):
         samples = build_lvd_samples(LvdDatasetSpec(
