@@ -143,14 +143,20 @@ def _check_shapes(params, *others) -> None:
                 raise ShapeError(f"param shape {p.shape} != grad or state shape {a.shape}")
 
 
-def _in_blocks(*lists):
-    """Flat views of each block of ``UPDATE_BLOCK`` values of each parameter,
-    one view per list of *lists*, each holding that parameter's array.
-    Every view is made before this returns, so a non-contiguous array
-    raises ValueError before a step changes anything."""
-    views = [[a.reshape(-1, copy=False) for a in arrays] for arrays in zip(*lists)]
-    return ([f[start : start + UPDATE_BLOCK] for f in flats]
-            for flats in views for start in range(0, flats[0].size, UPDATE_BLOCK))
+def _in_blocks(updated, read):
+    """Flat views of each block of ``UPDATE_BLOCK`` values of each parameter:
+    one view per list of *updated*, then one per list of *read*, each list
+    holding that parameter's array.  An array that is not C-contiguous, such
+    as a transposed view, is stepped through a contiguous copy, which is
+    written back into it after its last block if it is *updated*."""
+    for arrays in zip(*updated, *read):
+        whole = [np.asarray(a, order="C") for a in arrays]
+        flats = [w.reshape(-1) for w in whole]
+        for start in range(0, flats[0].size, UPDATE_BLOCK):
+            yield [f[start : start + UPDATE_BLOCK] for f in flats]
+        for a, w in zip(arrays[: len(updated)], whole):
+            if w is not a:
+                a[...] = w
 
 
 def _scratch(params, n: int) -> list[np.ndarray]:
@@ -163,7 +169,7 @@ def sgd_step(params, grads, learning_rate: float):
     """In-place ``p -= learning_rate * g``, with its bits, checked and
     updated in blocks as ``adam_step`` is."""
     _check_shapes(params, grads)
-    blocks = _in_blocks(params, grads)
+    blocks = _in_blocks([params], [grads])
     (scratch,) = _scratch(params, 1)
     for p, g in blocks:
         x = scratch[: p.size]
@@ -200,17 +206,17 @@ def adam_step(params, grads, state: AdamState, learning_rate: float,
         v = beta2 * v + (1 - beta2) * g * g
         p -= learning_rate * (m / c1) / (sqrt(v / c2) + eps)
 
-    where c1 and c2 are the bias corrections; no parameter-sized
-    temporary is made.  Every array must be contiguous, as the model's and
-    ``for_params``'s are.
+    where c1 and c2 are the bias corrections.  No parameter-sized
+    temporary is made for C-contiguous arrays, as the model's are; any
+    other array is updated through a contiguous copy.
     """
     _check_shapes(params, grads, state.m, state.v)
-    blocks = _in_blocks(params, grads, state.m, state.v)
+    blocks = _in_blocks([params, state.m, state.v], [grads])
     state.t += 1
     correction1 = 1.0 - beta1**state.t
     correction2 = 1.0 - beta2**state.t
     scratch, update = _scratch(params, 2)
-    for p, g, m, v in blocks:
+    for p, m, v, g in blocks:
         x, y = scratch[: p.size], update[: p.size]
         m *= beta1
         np.multiply(g, 1.0 - beta1, out=x)

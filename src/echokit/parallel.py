@@ -313,24 +313,37 @@ def map_in_order(fn, items) -> list:
     map or worker.  If the system refuses a pipe or a fork, the blocks that
     got no worker are mapped in process, after the forked ones.
     """
-    global _in_map
     items = list(items)
     n_blocks = _n_blocks(len(items), MIN_ITEMS_PER_WORKER)
     if n_blocks == 1:
         return [fn(x) for x in items]
-    bounds = [len(items) * k // n_blocks for k in range(n_blocks + 1)]
     workers = _Workers(lambda block, slot: [fn(x) for x in items[block]], n_blocks - 1)
     try:
-        for k in range(len(workers)):
-            workers.ask(k, slice(bounds[k + 1], bounds[k + 2]))
+        return _map_blocks(workers, fn, items, n_blocks, workers.ask)
+    finally:
+        workers.close()
+
+
+def _map_blocks(workers: _Workers, fn, items: list, n_blocks: int, send) -> list:
+    """``[fn(x) for x in items]`` in *n_blocks* contiguous blocks of
+    near-equal counts.  ``send(k, block)`` has worker *k* map the slice
+    *block* of the items, block k + 1; this process maps block 0 with
+    ``_in_map`` set, then any blocks that got no worker.  The exception of
+    the first failing block is raised, and a worker that ends without its
+    results raises ChildProcessError."""
+    global _in_map
+    bounds = [len(items) * k // n_blocks for k in range(n_blocks + 1)]
+    n_sent = min(len(workers), n_blocks - 1)
+    try:
+        for k in range(n_sent):
+            send(k, slice(bounds[k + 1], bounds[k + 2]))
         _in_map = True
         results = [fn(x) for x in items[: bounds[1]]]
-        for k in range(len(workers)):
+        for k in range(n_sent):
             results.extend(workers.answer(k, f"mapping items from {bounds[k + 1]} on"))
-        return results + [fn(x) for x in items[bounds[len(workers) + 1]:]]
+        return results + [fn(x) for x in items[bounds[n_sent + 1]:]]
     finally:
         _in_map = False
-        workers.close()
 
 
 def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
@@ -392,7 +405,7 @@ class GradientPool:
     """
 
     def __init__(self, term, items, sizes: list[int], params: list[np.ndarray],
-                 grads: list[np.ndarray], batch_size: int, predict=None, evaluated=()):
+                 grads: list[np.ndarray], batch_size: int, predict, evaluated):
         self._params = params
         self._index = {id(item): i for i, item in enumerate(items)}
         self._sizes = sizes
@@ -503,33 +516,24 @@ class GradientPool:
 
         The items are cut into contiguous blocks of near-equal counts, at
         most one per worker beyond the caller's and each at least
-        ``MIN_ITEMS_PER_WORKER``.  The caller maps block 0 with ``_in_map``
-        set, so nothing in it forks or starts threads, while each worker
-        maps one other block.  The exception of the first failing block is
-        raised, the one the list comprehension would raise; a worker that
-        ends without its results raises ChildProcessError.
+        ``MIN_ITEMS_PER_WORKER``, and mapped as ``map_in_order`` maps them:
+        the caller maps block 0 with ``_in_map`` set, so nothing in it forks
+        or starts threads, while each worker maps one other block.  The
+        exception of the first failing block is raised, the one the list
+        comprehension would raise; a worker that ends without its results
+        raises ChildProcessError.
         """
-        global _in_map
         if self._active:  # the last step stopped part way, so the workers are out of step
             self.close()
-        items = self._evaluated
         n_blocks = min(self._eval_blocks, len(self._workers) + 1)
         if n_blocks == 1:
-            return [self._predict(x) for x in items]
-        bounds = [len(items) * k // n_blocks for k in range(n_blocks + 1)]
+            return [self._predict(x) for x in self._evaluated]
         try:
-            for k in range(n_blocks - 1):
-                self._send(k, ("predict", slice(bounds[k + 1], bounds[k + 2])))
-            _in_map = True
-            results = [self._predict(x) for x in items[: bounds[1]]]
-            for k in range(n_blocks - 1):
-                results.extend(self._workers.answer(k, f"predicting items from {bounds[k + 1]} on"))
-            return results
+            return _map_blocks(self._workers, self._predict, self._evaluated, n_blocks,
+                               lambda k, block: self._send(k, ("predict", block)))
         except BaseException:
             self.close()
             raise
-        finally:
-            _in_map = False
 
     def close(self) -> None:
         """Close every pipe, so that each worker reads EOF or fails its

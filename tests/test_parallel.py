@@ -569,7 +569,7 @@ class TestForkedTraining:
         gc.disable()
         try:
             with parallel.GradientPool(lambda item, n: 0.0, [0, 1], [1, 1], [np.zeros(2)],
-                                       [np.zeros(2)], 2) as pool:
+                                       [np.zeros(2)], 2, None, []) as pool:
                 freed = weakref.ref(pool)
             del pool
             assert freed() is None
@@ -698,7 +698,7 @@ class TestEvaluationOnThePool:
             return 0.0
 
         fds = open_fds()
-        with pytest.raises(ChildProcessError, match="predicting items from"):
+        with pytest.raises(ChildProcessError, match="mapping items from"):
             tiny_run("mse", predict=die)
         assert_no_children()
         assert open_fds() == fds
@@ -748,7 +748,7 @@ class TestBlasPin:
         monkeypatch.setattr(parallel, "MIN_ITEMS_PER_WORKER", 1)
         items, grads = list(range(n_workers() + 1)), [np.zeros(1)]
         with parallel.GradientPool(blas_threads_term, items, [1] * len(items), [np.zeros(1)],
-                                   grads, len(items)) as pool:
+                                   grads, len(items), None, []) as pool:
             assert parallel._blas_threads() == 1
             assert pool.start(items, len(items)) == 1
             assert pool.add_terms(grads) == [1.0] * n_workers()
@@ -766,7 +766,7 @@ class TestBlasPin:
 
         items, grads = list(range(n_workers() + 1)), [np.zeros(1)]
         with parallel.GradientPool(fail_in_a_worker, items, [1] * len(items), [np.zeros(1)],
-                                   grads, len(items)) as pool:
+                                   grads, len(items), None, []) as pool:
             pool.start(items, len(items))
             with pytest.raises(DomainError, match="item 1 is out of range"):
                 pool.add_terms(grads)

@@ -281,6 +281,28 @@ class TestBlockedOptimizers:
             sgd_step(params, grads, 1e-2)
         assert [p.tobytes() for p in params] == before
 
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_non_contiguous_arrays_update_in_place(self, optimizer):
+        # Transposed views, of more than one block, with F-ordered moments
+        # from for_params: each steps through a copy that is written back.
+        rng = np.random.default_rng(3)
+        bases = [rng.standard_normal((3, 2**14 + 7)), rng.standard_normal((4, 5))]
+        params = [b.T for b in bases]
+        ref = [p.copy() for p in params]
+        state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
+        for step in range(3):
+            grads = [rng.standard_normal(b.shape).T for b in bases]
+            grads[1][::2] = SPECIAL_GRADS[step]
+            if optimizer == "adam":
+                adam_step(params, grads, state, 1e-2)
+                adam_step_reference(ref, grads, ref_state, 1e-2)
+                assert adam_snapshot(params, state) == adam_snapshot(ref, ref_state)
+            else:
+                sgd_step(params, grads, 1e-2)
+                sgd_step_reference(ref, grads, 1e-2)
+                assert [p.tobytes() for p in params] == [p.tobytes() for p in ref]
+        assert [b.T.tobytes() for b in bases] == [p.tobytes() for p in ref]
+
     def test_steps_hold_no_parameter_sized_temporary(self):
         rng = np.random.default_rng(2)
         params, grads = [rng.standard_normal(2**19)], [rng.standard_normal(2**19)]  # 4 MB each
