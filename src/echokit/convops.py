@@ -32,8 +32,9 @@ multiplies per output element, while the factored form costs only
 (mx*my) + mt.
 
 Every convolution here and in nn.DepthwiseSeparable2d runs through one
-tap loop, _accumulate(), which adds one weight-scaled shifted window of
-the input per kernel tap, and one sweep, _sweep().  Memory traffic, not
+sweep, _sweep(), and, but for the einsum slabs below, one tap loop,
+_accumulate(), which adds one weight-scaled shifted window of the input
+per kernel tap with one multiply and one add call.  Memory traffic, not
 multiplies, sets its time, so the sweep fills the output in slabs of
 whole rows along the first axis and applies every tap to one slab before
 it moves to the next: the slab, one slab-sized scratch buffer and the
@@ -44,7 +45,9 @@ the input rows then come to about 1.4 MB, inside a 2 MB per-core L2.  In
 a sweep from 32 KB to 2 MB on such a Xeon, with a 7x7x7 kernel on a 64^3
 and a 112x112x64 video, 256-384 KB were fastest for both stages, 384 KB
 by a little; smaller slabs pay more per-slab Python work, and from 512 KB
-up the working set crowds L2.
+up the working set crowds L2.  The einsum slabs below, which need no
+scratch, time within 12% of each other from 96 to 768 KB (384 KB
+fastest) and 1.56x slower at 1.5 MB.
 
 The three forms never pad the whole video.  A slab of output rows reads
 (slab rows + mx - 1) rows of input; in "same" mode each run of slabs
@@ -62,7 +65,7 @@ video, so the outputs are bit for bit the same, and so are the op
 counts, which count kept outputs only.
 
 The dropped positions mix values of neighbouring rows and can overflow
-or underflow where no output does, so the taps run with numpy's
+or underflow where no output does, so the tap loop runs with numpy's
 floating-point errors reported to a callback, not raised or warned.  If
 the callback fired, and either the slab's outputs are not all finite or
 the caller traps underflow, the slab is computed again with 3-D windows
@@ -72,15 +75,39 @@ dropped ones never do.  DepthwiseSeparable2d keeps its (W, C)-row
 windows on its padded input: as one flat window, its per-channel weights
 would have to be tiled to the window's length for each input shape.
 
+A kernel with no temporal extent (conv_spatial, and conv3d_full with an
+(mx, my, 1) kernel) sums all of a slab's taps in one call,
+np.einsum("ij,ijq->q") over an (mx, my, slab) strided view of the flat
+rows, instead of 2 * mx * my loop calls.  It adds the same products in
+the same row-major tap order, takes the interpreter lock back once per
+slab instead of twice per tap, and reads and writes three arrays per
+tap where the loop's multiply and add touch five.  This needs padded
+planes of more than one value: with one (nt = 1), a tap's stride ties
+with the output's, einsum reorders its loops, and the sums differ.
+einsum starts each sum at +0.0, where the loop starts at the first
+product, and reports no floating-point errors at all, so a slab whose
+kept outputs hold a zero (the loop's may be -0.0) or a non-finite value
+is computed again with 3-D windows under the caller's errstate, and a
+caller that traps underflow gets the tap loop.  einsum's inner loop may
+fuse each multiply and add where the SIMD baseline has FMA, so it is
+used only once a probe, run once per process, shows that this numpy
+rounds them separately.  On 2 vCPUs, with a 7x7 kernel, conv_spatial
+took 7.0-8.0 against 4.7-4.8 ms on 64^3, and 19.7-22.5 against
+8.7-12.7 ms on 112x112x64 (medians of 21 calls, two alternating runs a
+side).
+
 Slabs do not depend on each other, so a call of two or more slabs sweeps
 contiguous runs of them at once, one run per usable CPU: the caller
 sweeps run 0 and a short-lived thread each other run, each with its own
 buffers, all writing into the one output (parallel.threaded_runs).
-numpy releases the interpreter lock inside each tap's multiply and add
-over a slab, but each thread must take it back between calls, and those
-hand-offs cost each call microseconds, so two CPUs gain the spatial stage
-well under 2x.  A call of one slab, as every nn layer call at the EF and
-LVD model shapes is, runs in the caller without touching threads.
+numpy releases the interpreter lock inside each call over a slab, but
+each thread must take it back between calls, so the fewer and longer the
+calls, the more a second CPU gains: with 1 against 2 usable CPUs
+(alternating, 2 vCPUs), the einsum spatial stage gained 1.45-1.57x on
+64^3 and 1.81-1.95x on 112x112x64, the tap loop 1.41-1.50x and
+1.39-1.65x, and conv_temporal, still the loop, 1.08-1.30x on 64^3.  A
+call of one slab, as every nn layer call at the EF and LVD model shapes
+is, runs in the caller without touching threads.
 """
 
 from __future__ import annotations
@@ -195,6 +222,31 @@ def _accumulate(out, term, block, weights, offsets):
         out += np.multiply(value, block[index], out=term)
 
 
+def _einsum_taps(out, flat, kernel, row, plane):
+    """out[q] = the sum of kernel[i, j] * flat[q + i * row + j * plane] over the
+    taps (i, j) in row-major order, from +0.0, in one np.einsum call."""
+    step = flat.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        flat, (*kernel.shape, len(out)), (row * step, plane * step, step), writeable=False)
+    np.einsum("ij,ijq->q", kernel, windows, out=out, optimize=False)
+
+
+@lru_cache(maxsize=None)
+def _einsum_rounds_separately():
+    """Whether np.einsum rounds each product and each sum as _accumulate
+    does, not as a fused multiply-add; asked once per process.  With
+    a = 1 + 2**-30 and b = 1 - 2**-30, -1 + a * b is 0.0 with two roundings
+    and -2**-60 with one."""
+    n = 67  # a few SIMD vectors and a tail
+    flat = np.concatenate([np.full(n, -1.0), np.full(n, 1 - 2.0**-30)])
+    kernel = np.array([[1.0, 1 + 2.0**-30]])
+    by_einsum, by_loop = np.empty(n), np.empty(n)
+    with np.errstate(all="ignore"):
+        _einsum_taps(by_einsum, flat, kernel, 2 * n, n)
+        _accumulate(by_loop, np.empty(n), flat, kernel.ravel(), ((0,), (n,)))
+    return by_einsum.tobytes() == by_loop.tobytes()
+
+
 def _sweep(out, run):
     """Fill *out* slab by slab: at most SLAB_BYTES of whole rows along its
     first axis (one row if a row is larger).  A run of slabs calls
@@ -245,7 +297,8 @@ def sliding_accumulate(padded, weights, offsets, out_shape):
 def _convolve(video, kernel, padding, counter, name="video"):
     """Convolve a checked video with a checked rank-3 kernel: the body of
     all three convolution forms, taps in row-major kernel order, each tap
-    one flat window over a slab's padded input rows; see the module
+    one flat window over a slab's padded input rows, all of them in one
+    np.einsum call where the kernel has no temporal extent; see the module
     docstring."""
     check_padding(padding, kernel.shape)
     if padding == "valid" and any(m > n for m, n in zip(kernel.shape, video.shape)):
@@ -259,10 +312,17 @@ def _convolve(video, kernel, padding, counter, name="video"):
     taps = tuple(np.ndindex(kernel.shape))
     flat_taps = tuple((i * p1 * p2 + j * p2 + k,) for i, j, k in taps)
     trap_under = np.geterr()["under"] != "ignore"
+    # One einsum call per slab where that gives the tap loop's bytes; see the module
+    # docstring.  With p2 == 1 a tap's stride ties with the output's, and einsum
+    # reorders its loops.
+    plane_kernel = (np.ascontiguousarray(kernel[:, :, 0])
+                    if m2 == 1 and p2 > 1 and not trap_under and _einsum_rounds_separately()
+                    else None)
 
     def run(height):
         padded = np.zeros((height + m0 - 1, p1, p2)) if padding == "same" else None
-        acc, term = np.empty(height * p1 * p2), np.empty(height * p1 * p2)
+        acc = np.empty(height * p1 * p2)
+        term = np.empty(height * p1 * p2) if plane_kernel is None else None
 
         def slab(start, dest):
             n_rows = len(dest) + m0 - 1
@@ -276,14 +336,21 @@ def _convolve(video, kernel, padding, counter, name="video"):
                 rows[b - first :] = 0
                 rows[a - first : b - first, w1 : w1 + n1, w2 : w2 + n2] = video[a:b]
             size = len(dest) * p1 * p2 - (m1 - 1) * p2 - (m2 - 1)
-            flagged = []
-            with np.errstate(over="call", invalid="call", under="call",
-                             call=lambda kind, flag: flagged.append(kind)):
-                _accumulate(acc[:size], term[:size], rows.reshape(-1), weights, flat_taps)
+            if plane_kernel is None:
+                flagged = []
+                with np.errstate(over="call", invalid="call", under="call",
+                                 call=lambda kind, flag: flagged.append(kind)):
+                    _accumulate(acc[:size], term[:size], rows.reshape(-1), weights, flat_taps)
+            else:
+                _einsum_taps(acc[:size], rows.reshape(-1), plane_kernel, p1 * p2, p2)
             kept = acc[: len(dest) * p1 * p2].reshape(len(dest), p1, p2)
             np.copyto(dest, kept[:, : dest.shape[1], : dest.shape[2]])
-            if flagged and (trap_under or not np.isfinite(dest).all()):
-                _accumulate(dest, term[: dest.size].reshape(dest.shape), rows, weights, taps)
+            if plane_kernel is None:
+                redo = flagged and (trap_under or not np.isfinite(dest).all())
+            else:
+                redo = not (dest.all() and np.isfinite(dest).all())
+            if redo:
+                _accumulate(dest, np.empty(dest.shape), rows, weights, taps)
 
         return slab
 

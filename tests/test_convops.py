@@ -443,6 +443,154 @@ class TestDroppedPositions:
             op(video, kernel, "same")
 
 
+# (video dims, spatial kernel dims, padding) for the forms whose kernel has no
+# temporal extent: nt = 1 and 2, ny = 1, one-row outputs, and one-row and
+# one-column kernels.  With nt = 1 a padded plane holds one value, so a tap's
+# stride ties with the output's and every slab takes the tap loop.
+PLANE_SHAPES = {
+    "nt1_same": ((9, 6, 1), (3, 3), "same"),
+    "nt1_valid": ((9, 6, 1), (3, 5), "valid"),
+    "nt2_same": ((9, 6, 2), (5, 3), "same"),
+    "nt2_valid": ((9, 6, 2), (3, 3), "valid"),
+    "ny1_same": ((9, 1, 5), (3, 1), "same"),
+    "ny1_valid": ((9, 1, 5), (5, 1), "valid"),
+    "one_row_same": ((1, 6, 4), (3, 5), "same"),
+    "one_row_valid": ((3, 6, 4), (3, 5), "valid"),
+    "row_kernel": ((7, 6, 3), (1, 5), "same"),
+    "column_kernel": ((7, 6, 3), (5, 1), "valid"),
+    "one_tap": ((7, 5, 3), (1, 1), "same"),
+}
+
+
+def plane_kernel_op(name, kernel, nt):
+    """The form *name* and its kernel argument, for a 2-D spatial *kernel*
+    and videos nt frames long."""
+    if name == "factored":
+        temporal = [0.5, -1.5, 2.0] if nt >= 3 else [-0.75]
+        return conv_factored, SeparableKernel(kernel, np.array(temporal))
+    if name == "full":
+        return conv3d_full, kernel[:, :, None]
+    return conv_spatial, kernel
+
+
+def count_einsum_slabs(monkeypatch):
+    """Record the output length of each slab that convops runs through np.einsum."""
+    calls = []
+    real = convops._einsum_taps
+
+    def spy(out, *args):
+        calls.append(len(out))
+        return real(out, *args)
+
+    monkeypatch.setattr(convops, "_einsum_taps", spy)
+    return calls
+
+
+class TestEinsumSlabs:
+    """A slab whose kernel has no temporal extent sums all its taps in one
+    np.einsum call, with the tap loop's bytes, warnings and raises."""
+
+    @pytest.mark.parametrize("slab_rows", [None, 1, 2], ids=["1slab", "1row", "2rows"])
+    @pytest.mark.parametrize("shape", sorted(PLANE_SHAPES))
+    @pytest.mark.parametrize("name", ["spatial", "factored", "full"])
+    def test_matches_reference(self, monkeypatch, name, shape, slab_rows):
+        video_dims, kernel_dims, padding = PLANE_SHAPES[shape]
+        rng = np.random.default_rng(31)
+        video = rng.standard_normal(video_dims)
+        op, kernel = plane_kernel_op(name, rng.standard_normal(kernel_dims), video_dims[2])
+        if slab_rows:
+            (_, ny, nt), my = video_dims, kernel_dims[1]
+            out_ny = ny if padding == "same" else ny - my + 1
+            monkeypatch.setattr(convops, "SLAB_BYTES", slab_rows * out_ny * nt * 8)
+        slabs = count_einsum_slabs(monkeypatch)
+        result = reference_and_swept(monkeypatch, op, video, kernel, padding)
+        assert_same_bytes(*result)
+        assert bool(slabs) == (video_dims[2] > 1 and convops._einsum_rounds_separately())
+
+    @pytest.mark.parametrize("slab_rows", [None, 2], ids=["1slab", "2rows"])
+    @pytest.mark.parametrize("name", ["spatial", "full"])
+    def test_zero_region_under_negative_taps_keeps_minus_zero(self, monkeypatch, name,
+                                                              slab_rows):
+        # einsum starts each sum at +0.0; the tap loop starts at the first
+        # product, -0.0 here, and so does every later sum in the zero rows.
+        rng = np.random.default_rng(32)
+        video = rng.standard_normal((9, 7, 4))
+        video[3:6] = 0.0
+        op, kernel = plane_kernel_op(name, -rng.uniform(0.5, 1.0, (3, 3)), 4)
+        if slab_rows:
+            monkeypatch.setattr(convops, "SLAB_BYTES", slab_rows * video[0].nbytes)
+        slabs = count_einsum_slabs(monkeypatch)
+        want = reference(op, video, kernel, "same")
+        got = op(video, kernel, "same")
+        assert (want[4] == 0).all() and np.signbit(want[4]).all()
+        assert got.tobytes() == want.tobytes()
+        assert bool(slabs) == convops._einsum_rounds_separately()
+
+    @pytest.mark.parametrize("kind, taps", [("over", [1e10, 1.0, 1.0]),
+                                            ("invalid", [1e10, -1e10, 1.0])],
+                             ids=["overflow", "inf_minus_inf"])
+    @pytest.mark.parametrize("name", ["spatial", "full"])
+    def test_kept_faults_warn_and_raise(self, monkeypatch, name, kind, taps):
+        # Row 2 is 1e300: its kept products overflow, and with taps of both
+        # signs their sums are inf - inf.
+        video = np.ones((6, 5, 4))
+        video[2] = 1e300
+        op, kernel = plane_kernel_op(name, np.array([taps]), 4)
+        slabs = count_einsum_slabs(monkeypatch)
+        with np.errstate(all="ignore"):
+            want = reference(op, video, kernel, "same")
+            got = op(video, kernel, "same")
+        assert got.tobytes() == want.tobytes() and not np.isfinite(got[2]).all()
+        match = {"over": "overflow", "invalid": "invalid"}[kind]
+        with np.errstate(all="ignore", **{kind: "warn"}):
+            with pytest.warns(RuntimeWarning, match=match):
+                op(video, kernel, "same")
+        with np.errstate(all="ignore", **{kind: "raise"}):
+            with pytest.raises(FloatingPointError, match=match):
+                op(video, kernel, "same")
+        assert len(slabs) == 3 * convops._einsum_rounds_separately()
+
+
+class TestEinsumProbe:
+    """Slabs run through np.einsum only where a probe, run once per process,
+    shows that it rounds each product and each sum as the tap loop does."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_verdict(self):
+        convops._einsum_rounds_separately.cache_clear()
+        yield
+        convops._einsum_rounds_separately.cache_clear()
+
+    def test_one_ulp_off_is_refused_and_every_slab_loops(self, monkeypatch):
+        real = np.einsum
+        sums = []
+
+        def one_ulp_off(*operands, out, **kwargs):
+            # a stand-in for a build whose einsum fuses each multiply and add
+            sums.append(out.size)
+            real(*operands, out=out, **kwargs)
+            return np.nextafter(out, np.inf, out=out)
+
+        monkeypatch.setattr(np, "einsum", one_ulp_off)
+        rng = np.random.default_rng(33)
+        video, kernel = rng.standard_normal((9, 6, 4)), rng.standard_normal((3, 3))
+        monkeypatch.setattr(convops, "SLAB_BYTES", 2 * video[0].nbytes)
+        want = convolve_reference(video, kernel[:, :, None], "same")
+        assert conv_spatial(video, kernel, "same").tobytes() == want.tobytes()
+        assert conv3d_full(video, kernel[:, :, None], "same").tobytes() == want.tobytes()
+        assert len(sums) == 1 and not convops._einsum_rounds_separately()
+
+    def test_verdict_is_computed_once_per_process(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        video, kernel = rng.standard_normal((9, 6, 4)), rng.standard_normal((3, 3))
+        monkeypatch.setattr(convops, "SLAB_BYTES", 2 * video[0].nbytes)
+        for _ in range(3):
+            conv_spatial(video, kernel, "same")
+            conv3d_full(video, kernel[:, :, None], "valid")
+        info = convops._einsum_rounds_separately.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+
+
 # Shape, then the widths of its trailing axes; zero widths, unequal widths
 # and widths for fewer axes than the array has.
 ZERO_PAD_CASES = {
