@@ -40,14 +40,11 @@ whole rows along the first axis and applies every tap to one slab before
 it moves to the next: the slab, one slab-sized scratch buffer and the
 input rows the taps read stay in cache, instead of the whole output
 streaming through memory once per tap.  A slab holds at most SLAB_BYTES
-of output, 384 KB; with a 7x7 spatial kernel the slab, the scratch and
-the input rows then come to about 1.4 MB, inside a 2 MB per-core L2.  In
-a sweep from 32 KB to 2 MB on such a Xeon, with a 7x7x7 kernel on a 64^3
-and a 112x112x64 video, 256-384 KB were fastest for both stages, 384 KB
-by a little; smaller slabs pay more per-slab Python work, and from 512 KB
-up the working set crowds L2.  The einsum slabs below, which need no
-scratch, time within 12% of each other from 96 to 768 KB (384 KB
-fastest) and 1.56x slower at 1.5 MB.
+of output; with a 7x7 spatial kernel the slab, the scratch and the input
+rows then come to about 1.4 MB, inside a 2 MB per-core L2.  Smaller slabs
+pay more per-slab Python work, and larger ones crowd L2: SLAB_BYTES is
+the fastest size of a measured sweep, for the tap loop and the einsum
+slabs below alike (the timings are in CHANGES.md and BENCH_*.json).
 
 The three forms never pad the whole video.  A slab of output rows reads
 (slab rows + mx - 1) rows of input; in "same" mode each run of slabs
@@ -91,10 +88,7 @@ is computed again with 3-D windows under the caller's errstate, and a
 caller that traps underflow gets the tap loop.  einsum's inner loop may
 fuse each multiply and add where the SIMD baseline has FMA, so it is
 used only once a probe, run once per process, shows that this numpy
-rounds them separately.  On 2 vCPUs, with a 7x7 kernel, conv_spatial
-took 7.0-8.0 against 4.7-4.8 ms on 64^3, and 19.7-22.5 against
-8.7-12.7 ms on 112x112x64 (medians of 21 calls, two alternating runs a
-side).
+rounds them separately.
 
 Slabs do not depend on each other, so a call of two or more slabs sweeps
 contiguous runs of them at once, one run per usable CPU: the caller
@@ -102,12 +96,9 @@ sweeps run 0 and a short-lived thread each other run, each with its own
 buffers, all writing into the one output (parallel.threaded_runs).
 numpy releases the interpreter lock inside each call over a slab, but
 each thread must take it back between calls, so the fewer and longer the
-calls, the more a second CPU gains: with 1 against 2 usable CPUs
-(alternating, 2 vCPUs), the einsum spatial stage gained 1.45-1.57x on
-64^3 and 1.81-1.95x on 112x112x64, the tap loop 1.41-1.50x and
-1.39-1.65x, and conv_temporal, still the loop, 1.08-1.30x on 64^3.  A
-call of one slab, as every nn layer call at the EF and LVD model shapes
-is, runs in the caller without touching threads.
+calls, the more a second CPU gains, and the einsum slabs gain more than
+the tap loop.  A call of one slab, as every nn layer call at the EF and
+LVD model shapes is, runs in the caller without touching threads.
 """
 
 from __future__ import annotations
@@ -441,10 +432,11 @@ def _pad_layout(shape, widths):
 
 
 def zero_pad(x: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
-    """Zero-pad the last len(widths) axes of x by widths[i] on both sides.
+    """Zero-pad the last len(widths) axes of x by widths[i] on both sides,
+    for the nn layers; the convolution forms pad slab by slab instead.
 
-    Like numpy.pad it writes x once and zeros only the borders: with np.zeros
-    the perfbench conv3d workload ran about 8% slower on a 2-vCPU Xeon."""
+    Like numpy.pad it writes x once and zeros only the borders, where
+    np.zeros would write the whole output and then x over most of it."""
     shape, index, borders = _pad_layout(x.shape, tuple(widths))
     out = np.empty(shape, dtype=x.dtype)
     out[index] = x

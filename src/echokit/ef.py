@@ -216,9 +216,9 @@ def baseline_mae(samples, constant: float | None = None) -> float:
     return float(np.mean([abs(constant - t) for t in truths]))
 
 
-def split_dataset(samples, seed: int, train_fraction: float = 0.8):
+def split_dataset(samples, seed: int):
     """Deterministic shuffled split, grouped so one video never straddles it."""
-    return split(list(_group_by_video(samples).values()), seed, train_fraction)
+    return split(list(_group_by_video(samples).values()), seed)
 
 
 def train_ef(model: EfModel, samples, config: TrainConfig) -> tuple[EfModel, TrainResult]:

@@ -352,25 +352,15 @@ def evaluate_lvd(model: LvdModel, samples) -> LvdEvaluation:
     return score_lvd(samples, map_in_order(_predictor(model), samples))
 
 
-def constant_baseline_mae(samples, dims: LvDimensions | None = None) -> LvdEvaluation:
-    """MAE of a constant predictor, default all points at the frame center."""
-    if not samples:
-        raise ShapeError("empty dataset")
-    if dims is None:
-        dims = LvDimensions(0.0, 0.0, 0.0)
-    errors = np.stack(
-        [np.abs(dims.as_array() - s.dimensions().as_array()) for s in samples]
-    )
-    mae = errors.mean(axis=0)
-    return LvdEvaluation(
-        mae_ivs=float(mae[0]), mae_lvid=float(mae[1]), mae_lvpw=float(mae[2]),
-        n_samples=len(samples),
-    )
+def constant_baseline_mae(samples) -> LvdEvaluation:
+    """``score_lvd`` of a constant predictor that puts every point at the
+    frame center: zero dimensions, so every sample is degenerate."""
+    return score_lvd(samples, [LvDimensions(0.0, 0.0, 0.0)] * len(samples))
 
 
-def split_samples(samples, seed: int, train_fraction: float = 0.8):
+def split_samples(samples, seed: int):
     """Deterministic shuffled split of single frames."""
-    return split([[s] for s in samples], seed, train_fraction)
+    return split([[s] for s in samples], seed)
 
 
 def train_lvd(model: LvdModel, samples, config: TrainConfig,

@@ -125,9 +125,9 @@ def gradient_rel_error(analytic, numeric) -> float:
 
 
 # Values per block of an optimizer update: its two scratch buffers of this
-# many float64 values (256 KB) stay in a 2 MB L2.  Inside an EF training run
-# (D=64, 356,538 parameters, 2 vCPUs), an Adam step took a median 2.7-3.0 ms
-# in blocks against 3.8-5.0 ms in whole-array temporaries.
+# many float64 values (256 KB) stay in a 2 MB L2, where whole-array
+# temporaries of a model's parameters do not.  The timings are in
+# CHANGES.md and BENCH_24.json.
 UPDATE_BLOCK = 2**14
 
 
@@ -192,8 +192,7 @@ class AdamState:
                    v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(params, grads, state: AdamState, learning_rate: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params, grads, state: AdamState, learning_rate: float):
     """One in-place Adam update with bias correction.
 
     Every length and shape, of *grads*, ``state.m`` and ``state.v``, is
@@ -210,6 +209,7 @@ def adam_step(params, grads, state: AdamState, learning_rate: float,
     temporary is made for C-contiguous arrays, as the model's are; any
     other array is updated through a contiguous copy.
     """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     _check_shapes(params, grads, state.m, state.v)
     blocks = _in_blocks([params, state.m, state.v], [grads])
     state.t += 1
@@ -247,8 +247,9 @@ def make_optimizer(config: TrainConfig, params):
     return step
 
 
-def split(groups, seed: int, train_fraction: float = 0.8):
-    """Deterministic shuffled train/validation split of pre-grouped items.
+def split(groups, seed: int):
+    """Deterministic shuffled 80/20 train/validation split of pre-grouped
+    items.
 
     *groups* is a list of item lists; a group never straddles the split.
     Returns the two flat item lists, groups in shuffled order.
@@ -256,7 +257,7 @@ def split(groups, seed: int, train_fraction: float = 0.8):
     if not groups:
         raise ShapeError("empty dataset")
     order = np.random.default_rng(seed).permutation(len(groups))
-    n_train = int(round(train_fraction * len(groups)))
+    n_train = int(round(0.8 * len(groups)))
     train = [s for gi in order[:n_train] for s in groups[gi]]
     val = [s for gi in order[n_train:] for s in groups[gi]]
     return train, val
@@ -316,8 +317,9 @@ def fit(graph: ModelGraph, pairs, loss, predict, score, train, val,
         graph.zero_grads()
         return _add_term(graph, *pair, loss, n)
 
-    with GradientPool(term, pairs, [np.size(x) for x, _ in pairs], graph.params(),
-                      graph.grads(), config.batch_size, predict, [*train, *val]) as workers:
+    with GradientPool(predict, [*train, *val], term=term, items=pairs,
+                      sizes=[np.size(x) for x, _ in pairs], params=graph.params(),
+                      grads=graph.grads(), batch_size=config.batch_size) as workers:
         for epoch in range(config.epochs):
             order = rng.permutation(len(pairs))
             for start in range(0, len(pairs), config.batch_size):

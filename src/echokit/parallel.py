@@ -4,13 +4,13 @@ and short-lived threads for numpy work that releases the interpreter lock.
 Evaluation predicts every sample on its own, and a training step's
 gradient is a sum of per-sample terms, so both can be split across forked
 processes without changing a bit.  One private core, ``_Workers``, forks
-the workers of both: each inherits its work by fork, answers pickled
-requests through its own pair of pipes, can share one ``mmap`` slot of
-floats with the caller, and is reaped by one ``close``.  ``map_in_order``
-forks workers for one map and sends each a block of items.
-``GradientPool`` keeps its workers for a whole training run and does all
-of its parallel work, each step's gradient terms and each epoch's
+the workers: each inherits its work by fork, answers pickled requests
+through its own pair of pipes, shares one ``mmap`` slot of floats with
+the caller, and is reaped by one ``close``.  ``GradientPool`` is the one
+owner of such workers.  It keeps them for a whole training run and does
+all of its parallel work, each step's gradient terms and each epoch's
 predictions, passing parameters and running sums through the slots.
+``map_in_order`` is a pool with no training work, opened for one map.
 A convolution's output slabs are independent of each other, so
 ``threaded_runs`` sweeps contiguous runs of them in threads that write
 straight into one shared output.  One rule, ``_n_cpus``, says how many
@@ -32,22 +32,19 @@ import threading
 
 import numpy as np
 
-# Fewest items one worker is given.  On 2 vCPUs with BLAS on one thread,
-# at the benchmark's shapes, two workers ran evaluate_mae / evaluate_lvd
-# 0.91x / 0.70x as fast as one process at 4 items per worker, 1.39x /
-# 1.01x at 8, 1.62x / 1.22x at 16 and 1.58x / 1.60x at 32: a fork costs
-# about as much as a few predictions, so both gain fully from 32 on.
+# Fewest items one worker is given to predict.  A fork costs about as much
+# as a few predictions, so a worker gains only over a block of many; the
+# floor is the smallest block at which both evaluate_mae and evaluate_lvd
+# gained fully when measured (see CHANGES.md and BENCH_*.json).
 MIN_ITEMS_PER_WORKER = 32
 
 # Fewest input values (``np.size`` of each sample's input, summed) in the
 # block of a training batch one gradient worker is given.  A fork costs a
-# fixed ~2 ms plus a parameter-sized copy per term, and a sample's compute
+# fixed time plus a parameter-sized copy per term, and a sample's compute
 # grows with its input, so the floor is counted in values: 8 frames of
-# 32x32, 2 of 64x64 or 2 EF clips of 16x16x17.  On 2 vCPUs with BLAS on one
-# thread, one worker took perfbench's lvd_train (batch 16 of 64x64) from
-# 258 to 337 training samples/s and ef_train (batch 8, 4 clips a worker)
-# from 99.6 to 116.1 (medians of 10 pairs each); 32x32 frames at 4 a
-# worker gained nothing.
+# 32x32, 2 of 64x64 or 2 EF clips of 16x16x17.  It is the smallest block
+# that gained in the measured training runs (see CHANGES.md and
+# BENCH_*.json).
 MIN_VALUES_PER_GRAD_WORKER = 2**13
 
 # True in a process while it runs a forked map, and in every worker, so a
@@ -77,13 +74,13 @@ def threaded_runs(fn, n_pieces: int) -> None:
     Every thread is joined before this returns or raises, so none is left
     alive to stop a later fork.  Each thread runs in a copy of the caller's
     context, so numpy's ``errstate``, which numpy keeps in a context
-    variable, holds there too.  The runs must write disjoint memory, and
-    *fn* gains only where it releases the interpreter lock, as numpy's
-    ufuncs do over large arrays.
+    variable from 2.0 on, holds there too.  The runs must write disjoint
+    memory, and *fn* gains only where it releases the interpreter lock, as
+    numpy's ufuncs do over large arrays.
 
     If *fn* raises, the exception of the first failing run is raised, the
     one a serial sweep of the runs would raise.  Everything runs in this
-    thread where ``map_in_order`` would not fork for want of CPUs: one
+    thread where a ``GradientPool`` would not fork for want of CPUs: one
     usable CPU, a second thread alive, or inside a map or worker.  If the
     system refuses a thread, the runs not yet started are swept in this
     thread, after run 0.
@@ -196,7 +193,7 @@ class _Workers:
     it found.  The bytes do not depend on the count.
     """
 
-    def __init__(self, serve, n: int, slot_size: int = 0):
+    def __init__(self, serve, n: int, slot_size: int):
         self._serve = serve
         self.slots: list[np.ndarray] = []
         self._pids: list[int] = []
@@ -296,54 +293,16 @@ class _Workers:
 
 
 def map_in_order(fn, items) -> list:
-    """``[fn(x) for x in items]``, computed on every usable CPU.
+    """``[fn(x) for x in items]``, computed on every usable CPU: the
+    predictions of a ``GradientPool`` with no training work, opened for
+    this one map.
 
-    The items are cut into contiguous blocks of at least
-    ``MIN_ITEMS_PER_WORKER``, one per CPU this process may run on.  One
-    forked worker maps each block but the first, which this process maps,
-    and sends its results back through a pipe.  *fn* and the items reach
-    the workers by fork, not by pickling, so *fn* may be a lambda and sees
-    every module binding the caller patched; its results must pickle, or
-    the pickling error is raised as *fn*'s own.
-
-    If *fn* raises, the exception of the first failing block is raised,
-    which is the one the list comprehension would raise.  The map runs in
-    process when there is one usable CPU or too few items, on a platform
-    without ``os.fork``, while a second thread is alive, or inside another
-    map or worker.  If the system refuses a pipe or a fork, the blocks that
-    got no worker are mapped in process, after the forked ones.
+    *fn* and the items reach the workers by fork, not by pickling, so *fn*
+    may be a lambda and sees every module binding the caller patched; its
+    results must pickle, or the pickling error is raised as *fn*'s own.
     """
-    items = list(items)
-    n_blocks = _n_blocks(len(items), MIN_ITEMS_PER_WORKER)
-    if n_blocks == 1:
-        return [fn(x) for x in items]
-    workers = _Workers(lambda block, slot: [fn(x) for x in items[block]], n_blocks - 1)
-    try:
-        return _map_blocks(workers, fn, items, n_blocks, workers.ask)
-    finally:
-        workers.close()
-
-
-def _map_blocks(workers: _Workers, fn, items: list, n_blocks: int, send) -> list:
-    """``[fn(x) for x in items]`` in *n_blocks* contiguous blocks of
-    near-equal counts.  ``send(k, block)`` has worker *k* map the slice
-    *block* of the items, block k + 1; this process maps block 0 with
-    ``_in_map`` set, then any blocks that got no worker.  The exception of
-    the first failing block is raised, and a worker that ends without its
-    results raises ChildProcessError."""
-    global _in_map
-    bounds = [len(items) * k // n_blocks for k in range(n_blocks + 1)]
-    n_sent = min(len(workers), n_blocks - 1)
-    try:
-        for k in range(n_sent):
-            send(k, slice(bounds[k + 1], bounds[k + 2]))
-        _in_map = True
-        results = [fn(x) for x in items[: bounds[1]]]
-        for k in range(n_sent):
-            results.extend(workers.answer(k, f"mapping items from {bounds[k + 1]} on"))
-        return results + [fn(x) for x in items[bounds[n_sent + 1]:]]
-    finally:
-        _in_map = False
+    with GradientPool(fn, items) as pool:
+        return pool.predict_all()
 
 
 def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
@@ -370,14 +329,15 @@ class GradientPool:
     """Forked workers that do a training run's parallel work: the
     per-sample gradient terms of each batch, and each epoch's predictions.
 
-    *term(item, n)* overwrites the arrays *grads* with *item*'s term of an
-    *n*-sample batch gradient and returns the item's loss value, reading
-    the model from the arrays *params*.  *sizes* holds each item's count of
-    input values.  *predict(x)* gives one prediction of each of the
-    *evaluated* items from the same model.  Workers inherit *term*,
-    *predict*, *items*, *evaluated* and the model by fork and are sent only
-    indices and slices, so *predict* sees every module binding the caller
-    patched before the pool opened.
+    *predict(x)* gives one prediction of each of the *evaluated* items.
+    The keyword arguments describe the training work, and a pool without
+    them only predicts.  *term(item, n)* overwrites the arrays *grads* with
+    *item*'s term of an *n*-sample batch gradient and returns the item's
+    loss value, reading the model from the arrays *params*, which *predict*
+    reads too.  *sizes* holds each of the *items*' count of input values.
+    Workers inherit *term*, *predict*, *items*, *evaluated* and the model
+    by fork and are sent only indices and slices, so *predict* sees every
+    module binding the caller patched before the pool opened.
 
     The pool forks one worker per usable CPU beyond the caller's, as many
     as the larger of two counts allows: the blocks of
@@ -404,8 +364,9 @@ class GradientPool:
     all work runs in process.
     """
 
-    def __init__(self, term, items, sizes: list[int], params: list[np.ndarray],
-                 grads: list[np.ndarray], batch_size: int, predict, evaluated):
+    def __init__(self, predict, evaluated, *, term=None, items=(), sizes: list[int] = (),
+                 params: list[np.ndarray] = (), grads: list[np.ndarray] = (),
+                 batch_size: int = 1):
         self._params = params
         self._index = {id(item): i for i, item in enumerate(items)}
         self._sizes = sizes
@@ -516,24 +477,33 @@ class GradientPool:
 
         The items are cut into contiguous blocks of near-equal counts, at
         most one per worker beyond the caller's and each at least
-        ``MIN_ITEMS_PER_WORKER``, and mapped as ``map_in_order`` maps them:
-        the caller maps block 0 with ``_in_map`` set, so nothing in it forks
-        or starts threads, while each worker maps one other block.  The
-        exception of the first failing block is raised, the one the list
-        comprehension would raise; a worker that ends without its results
-        raises ChildProcessError.
+        ``MIN_ITEMS_PER_WORKER``.  Each worker maps one block but the
+        first, which the caller maps with ``_in_map`` set, so nothing in it
+        forks or starts threads.  The exception of the first failing block
+        is raised, the one the list comprehension would raise; a worker
+        that ends without its results raises ChildProcessError.
         """
+        global _in_map
         if self._active:  # the last step stopped part way, so the workers are out of step
             self.close()
+        predict, evaluated = self._predict, self._evaluated
         n_blocks = min(self._eval_blocks, len(self._workers) + 1)
         if n_blocks == 1:
-            return [self._predict(x) for x in self._evaluated]
+            return [predict(x) for x in evaluated]
+        bounds = [len(evaluated) * k // n_blocks for k in range(n_blocks + 1)]
         try:
-            return _map_blocks(self._workers, self._predict, self._evaluated, n_blocks,
-                               lambda k, block: self._send(k, ("predict", block)))
+            for k in range(n_blocks - 1):
+                self._send(k, ("predict", slice(bounds[k + 1], bounds[k + 2])))
+            _in_map = True
+            results = [predict(x) for x in evaluated[: bounds[1]]]
+            for k in range(n_blocks - 1):
+                results.extend(self._workers.answer(k, f"mapping items from {bounds[k + 1]} on"))
+            return results
         except BaseException:
             self.close()
             raise
+        finally:
+            _in_map = False
 
     def close(self) -> None:
         """Close every pipe, so that each worker reads EOF or fails its

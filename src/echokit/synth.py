@@ -165,7 +165,7 @@ class LvdSceneParams:
             raise ConfigurationError(f"mm_per_pixel must be > 0, got {self.mm_per_pixel}")
 
     @classmethod
-    def for_frame(cls, frame_dims, mm_per_pixel: float = 1.0, seed: int = 42):
+    def for_frame(cls, frame_dims):
         """Default band geometry scaled proportionally to the frame size."""
         s = min(frame_dims) / 64.0
         return cls(
@@ -174,8 +174,6 @@ class LvdSceneParams:
             wall_range=(4.0 * s, 9.0 * s),
             cavity_range=(14.0 * s, 26.0 * s),
             center_jitter=4.0 * s,
-            mm_per_pixel=mm_per_pixel,
-            seed=seed,
         )
 
 

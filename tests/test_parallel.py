@@ -393,6 +393,24 @@ def test_refused_fork_maps_the_rest_in_process(monkeypatch):
         assert_no_children()
 
 
+def test_refused_fork_raises_the_first_failing_items_error(monkeypatch):
+    # 9 items on 3 CPUs: block [6, 9) gets no worker, and items 7 and 8 fail
+    def fail_in_the_last_block(x):
+        if x >= 7:
+            raise DomainError(f"item {x} is out of range")
+        return x
+
+    monkeypatch.setattr(parallel, "MIN_ITEMS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for refused in ("fork", "pipe"):
+        with monkeypatch.context() as mp:
+            pids = refuse(mp, refused, refuse_from=2)
+            with pytest.raises(DomainError, match="item 7 is out of range"):
+                parallel.map_in_order(fail_in_the_last_block, range(9))
+        assert len(pids) == 1
+        assert_no_children()
+
+
 # Training: forked gradient steps give in-process fit's history, best epoch
 # and parameter bytes.
 
@@ -568,8 +586,9 @@ class TestForkedTraining:
         # until a full collection, and peak RSS would grow with every fit.
         gc.disable()
         try:
-            with parallel.GradientPool(lambda item, n: 0.0, [0, 1], [1, 1], [np.zeros(2)],
-                                       [np.zeros(2)], 2, None, []) as pool:
+            with parallel.GradientPool(None, [], term=lambda item, n: 0.0, items=[0, 1],
+                                       sizes=[1, 1], params=[np.zeros(2)], grads=[np.zeros(2)],
+                                       batch_size=2) as pool:
                 freed = weakref.ref(pool)
             del pool
             assert freed() is None
@@ -747,8 +766,9 @@ class TestBlasPin:
     def test_gradient_workers_and_a_nested_map(self, grad_forks, blas_at_2, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_ITEMS_PER_WORKER", 1)
         items, grads = list(range(n_workers() + 1)), [np.zeros(1)]
-        with parallel.GradientPool(blas_threads_term, items, [1] * len(items), [np.zeros(1)],
-                                   grads, len(items), None, []) as pool:
+        with parallel.GradientPool(None, [], term=blas_threads_term, items=items,
+                                   sizes=[1] * len(items), params=[np.zeros(1)], grads=grads,
+                                   batch_size=len(items)) as pool:
             assert parallel._blas_threads() == 1
             assert pool.start(items, len(items)) == 1
             assert pool.add_terms(grads) == [1.0] * n_workers()
@@ -765,8 +785,9 @@ class TestBlasPin:
             return 0.0
 
         items, grads = list(range(n_workers() + 1)), [np.zeros(1)]
-        with parallel.GradientPool(fail_in_a_worker, items, [1] * len(items), [np.zeros(1)],
-                                   grads, len(items), None, []) as pool:
+        with parallel.GradientPool(None, [], term=fail_in_a_worker, items=items,
+                                   sizes=[1] * len(items), params=[np.zeros(1)], grads=grads,
+                                   batch_size=len(items)) as pool:
             pool.start(items, len(items))
             with pytest.raises(DomainError, match="item 1 is out of range"):
                 pool.add_terms(grads)
