@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterator
 from dataclasses import asdict
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 
 from .beats import AreaSignal, detect_extrema, extract_beats
@@ -25,44 +24,49 @@ from .synth import EfDatasetSpec, LvdDatasetSpec, generate_ef_scenes, generate_l
 from .tensorio import open_input, output_dir, write_tensor
 
 
-def build_ef_samples(spec: EfDatasetSpec) -> list[EfSample]:
-    """Beat clips of each video via the detection pipeline, labeled with its EF.
+def _ef_samples_by_video(spec: EfDatasetSpec) -> Iterator[list[EfSample]]:
+    """Beat clips of each video via the detection pipeline, labeled with its
+    EF, one video's list at a time, drawn as it is asked for.
 
     The area signal is the generator's own pixel counts of its 0/1 masks,
     the integers beats.area_signal would count from them.
     """
-    samples = []
     for i, scene in enumerate(generate_ef_scenes(spec)):
         extrema = detect_extrema(AreaSignal(scene.true_areas, scene.frame_rate))
-        samples.extend(
-            EfSample(clip=c, ef_true=scene.ef_true, video_id=f"video_{i:04d}")
-            for c in extract_beats(scene.video, extrema)
-        )
-    return samples
+        yield [EfSample(clip=c, ef_true=scene.ef_true, video_id=f"video_{i:04d}")
+               for c in extract_beats(scene.video, extrema)]
+
+
+def build_ef_samples(spec: EfDatasetSpec) -> list[EfSample]:
+    """Beat clips of every video, in video order (``_ef_samples_by_video``)."""
+    return [s for samples in _ef_samples_by_video(spec) for s in samples]
+
+
+def _lvd_sample(scene) -> LvdSample:
+    return LvdSample(frame=scene.frame, keypoints=scene.keypoints,
+                     mm_per_pixel=scene.params.mm_per_pixel)
 
 
 def build_lvd_samples(spec: LvdDatasetSpec) -> list[LvdSample]:
-    return [
-        LvdSample(frame=s.frame, keypoints=s.keypoints, mm_per_pixel=s.params.mm_per_pixel)
-        for s in generate_lvd_scenes(spec)
-    ]
+    return [_lvd_sample(s) for s in generate_lvd_scenes(spec)]
 
 
 def write_ef_dataset(out_dir, spec: EfDatasetSpec) -> dict:
-    """Generate and write an EF dataset directory; returns the manifest."""
+    """Generate and write an EF dataset directory; returns the manifest.
+    Each video's clips are written before the next video is drawn."""
     out_dir = Path(out_dir)
     output_dir(out_dir / "clips")
     rows = []
     clip_meta = []
-    for video_id, samples in groupby(build_ef_samples(spec), key=attrgetter("video_id")):
+    for samples in _ef_samples_by_video(spec):
         for j, sample in enumerate(samples):
-            rel = f"clips/{video_id}_beat{j}.ctr"
+            rel = f"clips/{sample.video_id}_beat{j}.ctr"
             write_tensor(out_dir / rel, sample.clip.sub_video)
             rows.append({"clip_path": rel, "ef_percent": repr(sample.ef_true)})
             clip_meta.append(
                 {
                     "clip_path": rel,
-                    "video_id": video_id,
+                    "video_id": sample.video_id,
                     "start_frame": sample.clip.start_frame,
                     "end_frame": sample.clip.end_frame,
                 }
@@ -80,11 +84,12 @@ def write_ef_dataset(out_dir, spec: EfDatasetSpec) -> dict:
 
 
 def write_lvd_dataset(out_dir, spec: LvdDatasetSpec) -> dict:
-    """Generate and write an LVD dataset directory; returns the manifest."""
+    """Generate and write an LVD dataset directory; returns the manifest.
+    Each frame is written before the next frame is drawn."""
     out_dir = Path(out_dir)
     output_dir(out_dir / "frames")
     rows = []
-    for i, sample in enumerate(build_lvd_samples(spec)):
+    for i, sample in enumerate(map(_lvd_sample, generate_lvd_scenes(spec))):
         rel = f"frames/frame_{i:04d}.ctr"
         write_tensor(out_dir / rel, sample.frame)
         row = {"frame_path": rel, "mm_per_pixel": repr(sample.mm_per_pixel)}

@@ -299,16 +299,19 @@ def fit(graph: ModelGraph, pairs, loss, predict, score, train, val,
 
     All of the run's parallel work goes through one ``GradientPool`` of
     forked workers, opened after *pairs* exist: every training step, which
-    calls the module-level ``value_and_grad``, and every epoch's
-    predictions.  A worker's block of a batch holds at least
-    ``parallel.MIN_VALUES_PER_GRAD_WORKER`` input values, counted as
-    ``np.size`` of each pair's input, and its block of the evaluated items
-    at least ``parallel.MIN_ITEMS_PER_WORKER`` items.  Workers inherit
-    *predict* at the pool's fork, so it should look up module functions
-    when called, for a patched binding to reach them.
+    calls the module-level ``value_and_grad``, every optimizer update, and
+    every epoch's predictions.  The caller and each worker own one range of
+    the parameters laid end to end and step it with their own optimizer,
+    made by the module-level ``make_optimizer`` from flat views of that
+    range, so each range's Adam moments live only in its process; with no
+    worker, the caller's one range is every parameter.  A worker's block of
+    a batch holds at least ``parallel.MIN_VALUES_PER_GRAD_WORKER`` input
+    values, counted as ``np.size`` of each pair's input, and its block of
+    the evaluated items at least ``parallel.MIN_ITEMS_PER_WORKER`` items.
+    Workers inherit *predict* at the pool's fork, so it should look up
+    module functions when called, for a patched binding to reach them.
     """
     rng = np.random.default_rng(config.seed + 1)
-    step = make_optimizer(config, graph.params())
     result = TrainResult(train=train, val=val or train)
     best_params = None
     loss = LOSSES[loss] if isinstance(loss, str) else loss
@@ -319,7 +322,8 @@ def fit(graph: ModelGraph, pairs, loss, predict, score, train, val,
 
     with GradientPool(predict, [*train, *val], term=term, items=pairs,
                       sizes=[np.size(x) for x, _ in pairs], params=graph.params(),
-                      grads=graph.grads(), batch_size=config.batch_size) as workers:
+                      grads=graph.grads(), optimizer=lambda views: make_optimizer(config, views),
+                      batch_size=config.batch_size) as workers:
         for epoch in range(config.epochs):
             order = rng.permutation(len(pairs))
             for start in range(0, len(pairs), config.batch_size):
@@ -330,7 +334,7 @@ def fit(graph: ModelGraph, pairs, loss, predict, score, train, val,
                         f"training loss is {value} at epoch {epoch}, "
                         f"batch {start // config.batch_size}"
                     )
-                step(grads)
+                workers.update(grads)
             predictions = workers.predict_all()
             train_mae = score(train, predictions[: len(train)])
             val_mae = score(val, predictions[len(train):]) if val else train_mae

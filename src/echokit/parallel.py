@@ -8,8 +8,12 @@ the workers: each inherits its work by fork, answers pickled requests
 through its own pair of pipes, shares one ``mmap`` slot of floats with
 the caller, and is reaped by one ``close``.  ``GradientPool`` is the one
 owner of such workers.  It keeps them for a whole training run and does
-all of its parallel work, each step's gradient terms and each epoch's
-predictions, passing parameters and running sums through the slots.
+all of its parallel work, passing parameters and running sums through the
+slots: each step's gradient terms, each step's optimizer update and each
+epoch's predictions.  For the update, the caller and each worker own one
+contiguous range of the parameters laid end to end, hold that range's
+optimizer state, and step it with an ``("update", range)`` request;
+Adam and SGD are elementwise, so the bits are those of one whole step.
 ``map_in_order`` is a pool with no training work, opened for one map.
 A convolution's output slabs are independent of each other, so
 ``threaded_runs`` sweeps contiguous runs of them in threads that write
@@ -31,6 +35,8 @@ import sys
 import threading
 
 import numpy as np
+
+from .errors import ShapeError
 
 # Fewest items one worker is given to predict.  A fork costs about as much
 # as a few predictions, so a worker gains only over a block of many; the
@@ -311,6 +317,30 @@ def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     return [flat[a:b].reshape(x.shape) for a, b, x in zip(bounds, bounds[1:], like)]
 
 
+def _cut(arrays: list[np.ndarray], a: int, b: int) -> list[np.ndarray]:
+    """Flat views of the values ``[a, b)`` of the C-contiguous *arrays*,
+    laid end to end."""
+    views, start = [], 0
+    for x in arrays:
+        lo, hi = max(a - start, 0), min(b - start, x.size)
+        if lo < hi:
+            views.append(x.reshape(-1)[lo:hi])
+        start += x.size
+    return views
+
+
+def _pairs(arrays: list[np.ndarray], flat: np.ndarray, a: int, b: int) -> list[tuple]:
+    """The values ``[a, b)`` as pairs of views: one of *arrays* laid end to
+    end, and the same values' place in *flat*."""
+    cut = _cut(arrays, a, b)
+    return list(zip(cut, _views(flat[a:b], cut)))
+
+
+def _outside(arrays: list[np.ndarray], flat: np.ndarray, a: int, b: int) -> list[tuple]:
+    """``_pairs`` of every value but those of ``[a, b)``."""
+    return _pairs(arrays, flat, 0, a) + _pairs(arrays, flat, b, flat.size)
+
+
 def _blocks(sizes: list[int], most: int) -> list[int]:
     """Bounds of the most contiguous blocks, at most *most*, of near-equal
     counts of *sizes* that each sum to ``MIN_VALUES_PER_GRAD_WORKER`` or
@@ -327,16 +357,20 @@ def _blocks(sizes: list[int], most: int) -> list[int]:
 
 class GradientPool:
     """Forked workers that do a training run's parallel work: the
-    per-sample gradient terms of each batch, and each epoch's predictions.
+    per-sample gradient terms of each batch, each step's optimizer update,
+    and each epoch's predictions.
 
     *predict(x)* gives one prediction of each of the *evaluated* items.
     The keyword arguments describe the training work, and a pool without
     them only predicts.  *term(item, n)* overwrites the arrays *grads* with
     *item*'s term of an *n*-sample batch gradient and returns the item's
-    loss value, reading the model from the arrays *params*, which *predict*
-    reads too.  *sizes* holds each of the *items*' count of input values.
-    Workers inherit *term*, *predict*, *items*, *evaluated* and the model
-    by fork and are sent only indices and slices, so *predict* sees every
+    loss value, reading the model from the C-contiguous arrays *params*,
+    which *predict* reads too.  *sizes* holds each of the *items*' count of
+    input values.  *optimizer(views)* returns the ``step(grads)`` that
+    updates the list of flat parameter views *views* in place from the
+    gradient views *grads* shaped as them.  Workers inherit *term*,
+    *predict*, *optimizer*, *items*, *evaluated* and the model by fork and
+    are sent only indices, slices and ranges, so *predict* sees every
     module binding the caller patched before the pool opened.
 
     The pool forks one worker per usable CPU beyond the caller's, as many
@@ -348,52 +382,85 @@ class GradientPool:
     and keeps the workers it got if the system refuses a slot, a pipe or a
     fork.
 
+    *params* laid end to end are cut into one contiguous range of
+    near-equal length per process: the first for the caller, then one for
+    each worker.  Each range has its own *optimizer* step, made in the
+    process that owns the range at its first update, so its optimizer
+    state lives only there.  Between steps the parameters change only
+    through ``update``, which steps every range.  With no worker, the
+    caller's range is all of *params*.
+
     Each worker shares one anonymous ``mmap`` slot the size of *params*
-    with the caller.  A step (``start``, then ``add_terms``) writes the
-    current parameters into the slot of each worker it uses and sends that
-    worker the indices of its block; the worker computes its block's terms
-    into private memory.  Once the caller has added its own block's terms,
-    it writes that partial sum into the slot, the worker adds its terms to
-    it in sample order, and the caller reads it back: two requests per
-    worker per step.  ``predict_all`` writes the parameters likewise and
-    maps *predict* over *evaluated* in contiguous blocks, the first in the
-    caller.
+    with the caller.  A step (``start``, then ``add_terms``, then
+    ``update``) writes the parameters outside the worker's own range into
+    the slot of each worker it uses and sends that worker the indices of
+    its block; the worker computes its block's terms into private memory.
+    Once the caller has added its own block's terms, it writes that partial
+    sum into the slot, the worker adds its terms to it in sample order, and
+    the caller reads it back.  ``update`` then puts the full sum's range of
+    each worker into its slot, where the last worker's add already left
+    it, and asks every worker, also one that computed no terms, to step its
+    range from there and write the new values back.  Meanwhile the caller
+    steps its own range, then reads the workers' ranges.  So a step sends
+    each worker at most three requests.  ``predict_all`` writes the
+    parameters likewise and maps *predict* over *evaluated* in contiguous
+    blocks, the first in the caller.
 
     Use the pool as a context manager: leaving it closes every pipe and
-    reaps every worker, and so does a step or map that raises, after which
-    all work runs in process.
+    reaps every worker, and so does a step or map that raises.  Once its
+    workers are closed, their ranges' optimizer state is gone, so any later
+    step or map raises ChildProcessError.
     """
 
     def __init__(self, predict, evaluated, *, term=None, items=(), sizes: list[int] = (),
                  params: list[np.ndarray] = (), grads: list[np.ndarray] = (),
-                 batch_size: int = 1):
+                 optimizer=None, batch_size: int = 1):
+        if not all(p.flags.c_contiguous for p in (*params, *grads)):
+            raise ShapeError("the parameters and gradients of a pool must be C-contiguous, "
+                             "to be stepped in ranges of their values")
         self._params = params
         self._index = {id(item): i for i, item in enumerate(items)}
         self._sizes = sizes
         self._predict = predict
+        self._optimizer = optimizer
+        self._step = None  # the caller's range's optimizer step, made at the first update
         self._evaluated = evaluated = list(evaluated)
         self._active: list[tuple[int, int]] = []  # this step's workers and first samples
+        self._summed = None  # the worker whose slot holds the last full gradient sum
         terms = np.empty((0, 0))  # a worker's terms of its block, one per row
         n_terms = 0
+        step = None  # a worker's range's optimizer step, made at its first update
 
         def serve(request, slot: np.ndarray):
-            """A worker's reply to ``("step", n, indices)``: the block's terms
-            computed from the parameters in *slot*, and its loss values
+            """A worker's reply to ``("step", own, n, indices)``: the block's
+            terms computed from the parameters in *slot*, and its loss values
             returned.  To ``("add",)``: the terms added to *slot* in sample
-            order.  To ``("predict", block)``: *predict* over that slice of
-            *evaluated*, from the parameters in *slot*.  It refers to no
-            pool: in a reference cycle, a pool would keep its slots mapped
-            until a full collection."""
-            nonlocal terms, n_terms
+            order.  To ``("update", own)``: the worker's range *own* of the
+            parameters stepped from the gradient in *slot*, and written back
+            into it.  To ``("predict", own, block)``: *predict* over that
+            slice of *evaluated*, from the parameters in *slot*.  A worker
+            loads the parameters outside *own* only: within it, its own are
+            the newest.  It refers to no pool: in a reference cycle, a pool
+            would keep its slots mapped until a full collection."""
+            nonlocal terms, n_terms, step
             if request[0] == "add":
                 for row in terms[:n_terms]:
                     slot += row
                 return None
-            for p, s in zip(params, _views(slot, params)):
+            a, b = request[1]
+            if request[0] == "update":
+                own = _pairs(params, slot, a, b)
+                if step is None:
+                    step = optimizer([p for p, _ in own])
+                step([s for _, s in own])
+                for p, s in own:
+                    s[...] = p
+                return None
+            for p, s in _outside(params, slot, a, b):
                 p[...] = s
             if request[0] == "predict":
-                return [predict(x) for x in evaluated[request[1]]]
-            _, n, indices = request
+                return [predict(x) for x in evaluated[request[2]]]
+            _, _, n, indices = request
             if len(terms) < len(indices):
                 terms = np.empty((len(indices), slot.size))
             n_terms, values = len(indices), []
@@ -405,8 +472,11 @@ class GradientPool:
         most = sum(sorted(sizes)[-batch_size:])  # values in the largest batch
         self._eval_blocks = _n_blocks(len(self._evaluated), MIN_ITEMS_PER_WORKER)
         n_workers = max(_n_blocks(most, MIN_VALUES_PER_GRAD_WORKER), self._eval_blocks) - 1
-        self._workers = _Workers(serve, n_workers, sum(p.size for p in params))
-        self._slots = [_views(slot, params) for slot in self._workers.slots]
+        total = sum(p.size for p in params)
+        self._workers = _Workers(serve, n_workers, total)
+        self._n_workers = len(self._workers)
+        n_ranges = self._n_workers + 1
+        self._bounds = [total * r // n_ranges for r in range(n_ranges + 1)]
 
     def __enter__(self) -> GradientPool:
         return self
@@ -414,12 +484,30 @@ class GradientPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _send(self, k: int, request) -> None:
-        """Write the current parameters into worker *k*'s slot, then send it
-        *request*."""
-        for s, p in zip(self._slots[k], self._params):
+    def _own(self, k: int) -> tuple[int, int]:
+        """Worker *k*'s range of the parameters."""
+        return self._bounds[k + 1], self._bounds[k + 2]
+
+    def _check_workers(self) -> None:
+        """Close the workers if the last step stopped part way, so that they
+        are out of step; then raise ChildProcessError if the pool has closed
+        workers that owned ranges of the parameters: nothing else holds their
+        optimizer state."""
+        if self._active:
+            self.close()
+        if len(self._workers) < self._n_workers:
+            raise ChildProcessError(
+                "the pool's workers were closed, and with them the optimizer state "
+                f"of the parameters from {self._bounds[1]} on")
+
+    def _send(self, k: int, kind: str, *args) -> None:
+        """Write the current parameters outside worker *k*'s range into its
+        slot, then send it the request *kind*, its range and *args*."""
+        own = self._own(k)
+        for p, s in _outside(self._params, self._workers.slots[k], *own):
             s[...] = p
-        self._workers.ask(k, request)
+        self._summed = None
+        self._workers.ask(k, (kind, own, *args))
 
     def start(self, batch, n: int) -> int:
         """Send each worker the current parameters and its block of *batch*,
@@ -431,14 +519,13 @@ class GradientPool:
         worker: as many contiguous blocks of near-equal sample counts as
         still hold ``MIN_VALUES_PER_GRAD_WORKER`` input values each.
         """
-        if self._active:  # the last step stopped part way, so the workers are out of step
-            self.close()
+        self._check_workers()
         indices = [self._index[id(item)] for item in batch]
         bounds = _blocks([self._sizes[i] for i in indices], len(self._workers) + 1)
         try:
             for k, (a, b) in enumerate(zip(bounds[1:], bounds[2:])):
                 self._active.append((k, a))
-                self._send(k, ("step", n, indices[a:b]))
+                self._send(k, "step", n, indices[a:b])
         except BaseException:
             self.close()
             raise
@@ -460,17 +547,49 @@ class GradientPool:
             for k, a in self._active:
                 what = f"for samples from {a} on"
                 values.extend(self._workers.answer(k, what))
-                for s, g in zip(self._slots[k], grads):
+                whole = _pairs(grads, self._workers.slots[k], 0, self._bounds[-1])
+                for g, s in whole:
                     s[...] = g
                 self._workers.ask(k, ("add",))
                 self._workers.answer(k, what)
-                for g, s in zip(grads, self._slots[k]):
+                for g, s in whole:
                     g[...] = s
+                self._summed = k
         except BaseException:
             self.close()
             raise
         self._active = []
         return values
+
+    def update(self, grads: list[np.ndarray]) -> None:
+        """Step the parameters from the summed gradient *grads*: every
+        worker steps its range in its own process while the caller steps
+        its range, then the caller reads the workers' new values.  The
+        optimizer is elementwise, so the bits are those of one step over
+        all of *params*.  A worker that ends without its update raises
+        ChildProcessError, which names the update.
+        """
+        self._check_workers()
+        slots = self._workers.slots
+        try:
+            for k in range(len(self._workers)):
+                own = self._own(k)
+                if k != self._summed:
+                    for g, s in _pairs(grads, slots[k], *own):
+                        s[...] = g
+                self._workers.ask(k, ("update", own))
+            self._summed = None
+            if self._step is None:
+                self._step = self._optimizer(_cut(self._params, 0, self._bounds[1]))
+            self._step(_cut(grads, 0, self._bounds[1]))
+            for k in range(len(self._workers)):
+                own = self._own(k)
+                self._workers.answer(k, f"updating parameters from {own[0]} on")
+                for p, s in _pairs(self._params, slots[k], *own):
+                    p[...] = s
+        except BaseException:
+            self.close()
+            raise
 
     def predict_all(self) -> list:
         """``[predict(x) for x in evaluated]`` from the current parameters.
@@ -484,8 +603,7 @@ class GradientPool:
         that ends without its results raises ChildProcessError.
         """
         global _in_map
-        if self._active:  # the last step stopped part way, so the workers are out of step
-            self.close()
+        self._check_workers()
         predict, evaluated = self._predict, self._evaluated
         n_blocks = min(self._eval_blocks, len(self._workers) + 1)
         if n_blocks == 1:
@@ -493,7 +611,7 @@ class GradientPool:
         bounds = [len(evaluated) * k // n_blocks for k in range(n_blocks + 1)]
         try:
             for k in range(n_blocks - 1):
-                self._send(k, ("predict", slice(bounds[k + 1], bounds[k + 2])))
+                self._send(k, "predict", slice(bounds[k + 1], bounds[k + 2]))
             _in_map = True
             results = [predict(x) for x in evaluated[: bounds[1]]]
             for k in range(n_blocks - 1):
@@ -508,5 +626,5 @@ class GradientPool:
     def close(self) -> None:
         """Close every pipe, so that each worker reads EOF or fails its
         write and exits, then reap every worker."""
-        self._active, self._slots = [], []
+        self._active = []
         self._workers.close()

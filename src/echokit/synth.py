@@ -23,6 +23,7 @@ Equal seeds give bit-identical tensors and labels.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -264,10 +265,12 @@ def sample_ef_scene_params(spec: EfDatasetSpec, rng: np.random.Generator) -> EfS
     )
 
 
-def generate_ef_scenes(spec: EfDatasetSpec) -> list[EfScene]:
-    """One scene per video, parameter draws from a single seeded stream."""
+def generate_ef_scenes(spec: EfDatasetSpec) -> Iterator[EfScene]:
+    """One scene per video, parameter draws from a single seeded stream,
+    yielded one at a time, so only the scene in hand is in memory."""
     rng = np.random.default_rng(spec.seed)
-    return [gen_ef_video(sample_ef_scene_params(spec, rng)) for _ in range(spec.n_videos)]
+    for _ in range(spec.n_videos):
+        yield gen_ef_video(sample_ef_scene_params(spec, rng))
 
 
 @dataclass(frozen=True)
@@ -281,9 +284,9 @@ class LvdDatasetSpec:
             raise ConfigurationError(f"n_frames must be >= 1, got {self.n_frames}")
 
 
-def generate_lvd_scenes(spec: LvdDatasetSpec) -> list[LvdScene]:
+def generate_lvd_scenes(spec: LvdDatasetSpec) -> Iterator[LvdScene]:
+    """One scene per frame, each seeded from a single seeded stream,
+    yielded one at a time, so only the scene in hand is in memory."""
     rng = np.random.default_rng(spec.seed)
-    return [
-        gen_lvd_frame(replace(spec.scene, seed=int(rng.integers(2**31))))
-        for _ in range(spec.n_frames)
-    ]
+    for _ in range(spec.n_frames):
+        yield gen_lvd_frame(replace(spec.scene, seed=int(rng.integers(2**31))))

@@ -89,4 +89,7 @@ def test_train_and_eval_paths_call_the_traced_functions(tmp_path, name, workload
     names = span_names_by_root(trace_path)
     loader = f"{module}.load_{module}_dataset"
     assert {"checkpoint.save", loader, f"{module}.{train}"} <= names["bench.train_path"]
+    # fit's steps, and the optimizer of its caller's range of the parameters,
+    # which fit makes through nn.train's module-level make_optimizer
+    assert {"nn.value_and_grad", "nn.optimizer_step"} <= names["bench.train_path"]
     assert {"checkpoint.load", loader, f"{module}.{evaluate}"} <= names["bench.eval_path"]

@@ -4,6 +4,7 @@ errors and output, and leaves no child behind."""
 import errno
 import fcntl
 import gc
+import itertools
 import os
 import pickle
 import signal
@@ -27,8 +28,10 @@ from echokit.nn import (
     Swish,
     TrainConfig,
     fit,
+    make_optimizer,
     mse_value_and_grad,
 )
+from echokit.nn import train as nn_train
 from echokit.synth import EfDatasetSpec, LvdDatasetSpec, LvdSceneParams
 
 from oracles import convolve_reference
@@ -83,12 +86,12 @@ def forks(monkeypatch):
 
 
 @pytest.fixture(params=[2, 3], ids=["2cpus", "3cpus"])
-def grad_forks(request, monkeypatch):
+def grad_forks(request, usable_cpus, monkeypatch):
     """A gradient worker for every CPU beyond the caller's, on a 2- or 3-CPU
     host, at one sample each, under an alarm; returns the pids of the
     children forked."""
     monkeypatch.setattr(parallel, "MIN_VALUES_PER_GRAD_WORKER", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    usable_cpus(request.param)
     yield from under_alarm(count_forks(monkeypatch))
 
 
@@ -486,15 +489,20 @@ def tiny_score(pairs, preds) -> float:
     return float(np.mean([abs(pred - target[0]) for (_, target), pred in zip(pairs, preds)]))
 
 
-def tiny_run(loss, n_pairs=N_PAIRS, batch_size=N_PAIRS, predict=None):
-    """fit on a small Conv1d model; the targets number the pairs.  Each
-    epoch scores *predict*'s predictions of the pairs, by default the
-    model's own."""
+def tiny_graph(rng):
+    """A small Conv1d model of 25 parameters, in arrays of 18, 3, 3 and 1."""
+    return ModelGraph([Conv1d(2, 3, 3, padding="same", rng=rng), Swish(),
+                       GlobalMaxPool1d(), Dense(3, 1, rng=rng)])
+
+
+def tiny_run(loss, n_pairs=N_PAIRS, batch_size=N_PAIRS, predict=None, optimizer="adam"):
+    """fit on tiny_graph; the targets number the pairs.  Each epoch scores
+    *predict*'s predictions of the pairs, by default the model's own."""
     rng = np.random.default_rng(8)
     pairs = [(rng.standard_normal((5, 2)), np.array([float(k)])) for k in range(n_pairs)]
-    graph = ModelGraph([Conv1d(2, 3, 3, padding="same", rng=rng), Swish(),
-                        GlobalMaxPool1d(), Dense(3, 1, rng=rng)])
-    config = TrainConfig(learning_rate=1e-2, batch_size=batch_size, epochs=3, seed=FIT_SEED)
+    graph = tiny_graph(rng)
+    config = TrainConfig(learning_rate=1e-2, batch_size=batch_size, epochs=3, seed=FIT_SEED,
+                         optimizer=optimizer)
     if predict is None:
         def predict(pair):
             return float(graph.forward(pair[0])[0])
@@ -654,6 +662,122 @@ class TestForkedTrainingErrors:
         assert len(grad_forks) == n_workers()
         assert_no_children()
         assert open_fds() == fds
+
+
+# The optimizer update: the caller and each worker step their own range of
+# the parameters laid end to end.
+
+
+def range_bounds(params, n_ranges):
+    """The pool's range bounds over *params* for *n_ranges* processes."""
+    total = sum(p.size for p in params)
+    return [total * r // n_ranges for r in range(n_ranges + 1)]
+
+
+def step_of_a_pool(pool, items, grads):
+    """One whole step of a GradientPool whose term of an item is item / n,
+    the caller adding its own block's terms; returns the summed gradient."""
+    n = len(items)
+    own = pool.start(items, n)
+    grads[0][...] = 0.0
+    for item in items[:own]:
+        grads[0] += item / n
+    pool.add_terms(grads)
+    pool.update(grads)
+    return grads[0].copy()
+
+
+def item_term(grads):
+    def term(item, n):
+        grads[0][...] = item / n
+        return 0.0
+    return term
+
+
+class TestRangeUpdates:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_fit_bit_equal_across_ranges_inside_arrays(self, eval_forks, optimizer):
+        # 7 pairs in batches of 3: in the last batch of 1 no worker computes a
+        # term, yet each still steps its range.  Each epoch's predictions,
+        # made on the workers right after its last step, must see every
+        # range's new values.
+        params = tiny_graph(np.random.default_rng(8)).params()
+        starts = set(itertools.accumulate(p.size for p in params))
+        assert starts.isdisjoint(range_bounds(params, n_workers() + 1)[1:-1])
+        expected = in_process(tiny_run, "mse", 7, 3, None, optimizer)
+        assert eval_forks == []
+        assert tiny_run("mse", 7, 3, optimizer=optimizer) == expected
+        assert len(eval_forks) == n_workers()
+        assert_no_children()
+
+    def test_predict_all_right_after_a_step_sees_every_range(self, eval_forks):
+        # 7 values over 2 or 3 ranges: every bound falls inside the one array
+        params, grads = [np.linspace(-1.0, 1.0, 7)], [np.zeros(7)]
+        items = [np.arange(7.0) * (k + 1) for k in range(n_workers() + 1)]
+        expected = params[0].copy()
+        config = TrainConfig(learning_rate=0.1)
+        reference = make_optimizer(config, [expected])
+        with parallel.GradientPool(lambda x: params[0].tobytes(), items, term=item_term(grads),
+                                   items=items, sizes=[7] * len(items), params=params,
+                                   grads=grads, optimizer=lambda v: make_optimizer(config, v),
+                                   batch_size=len(items)) as pool:
+            for _ in range(2):
+                reference([step_of_a_pool(pool, items, grads)])
+                assert pool.predict_all() == [expected.tobytes()] * len(items)
+        assert params[0].tobytes() == expected.tobytes()
+        assert len(eval_forks) == n_workers()
+        assert_no_children()
+
+    def test_non_contiguous_parameters_rejected(self):
+        # a flat view of a transposed array would be a copy, and its steps lost
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            parallel.GradientPool(None, [], params=[np.zeros((3, 2)).T], grads=[np.zeros((2, 3))])
+
+    def test_worker_killed_during_the_update(self, grad_forks, monkeypatch):
+        caller, make = os.getpid(), nn_train.make_optimizer
+
+        def dying_optimizer(config, views):
+            step = make(config, views)
+
+            def die_in_a_worker(grads):
+                if os.getpid() != caller:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return step(grads)
+
+            return die_in_a_worker
+
+        monkeypatch.setattr(nn_train, "make_optimizer", dying_optimizer)
+        fds = open_fds()
+        with pytest.raises(ChildProcessError, match="the worker updating parameters from"):
+            tiny_run("mse")
+        assert len(grad_forks) == n_workers()
+        assert_no_children()
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("how", ["closed", "stopped"])
+    def test_step_after_the_workers_closed_raises(self, grad_forks, how):
+        # Only the workers held their ranges' optimizer state: stepping those
+        # ranges in process would step from moments that never moved.
+        params, grads = [np.linspace(-1.0, 1.0, 7)], [np.zeros(7)]
+        items = [np.arange(7.0) * (k + 1) for k in range(n_workers() + 1)]
+        config = TrainConfig(learning_rate=0.1)
+        with parallel.GradientPool(None, [], term=item_term(grads), items=items,
+                                   sizes=[7] * len(items), params=params, grads=grads,
+                                   optimizer=lambda v: make_optimizer(config, v),
+                                   batch_size=len(items)) as pool:
+            step_of_a_pool(pool, items, grads)
+            if how == "closed":
+                pool.close()
+            else:  # a step whose caller failed before adding the workers' terms
+                pool.start(items, len(items))
+            stepped = params[0].tobytes()
+            with pytest.raises(ChildProcessError, match="workers were closed"):
+                step_of_a_pool(pool, items, grads)
+            with pytest.raises(ChildProcessError, match="workers were closed"):
+                pool.update(grads)
+            assert params[0].tobytes() == stepped
+        assert len(grad_forks) == n_workers()
+        assert_no_children()
 
 
 # Evaluation on the gradient pool: each epoch's predictions run on the

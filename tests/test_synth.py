@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from echokit import datasets
 from echokit.beats import area_signal, detect_extrema, extract_beats
 from echokit.datasets import build_ef_samples
 from echokit.errors import ConfigurationError
@@ -171,7 +174,7 @@ class TestGenLvdFrame:
         # Uniform draws on (lo, hi) have sigma (hi - lo) / sqrt(12); the
         # empirical spread over 1000 frames must land within 10%.
         spec = LvdDatasetSpec(n_frames=1000, seed=21)
-        scenes = generate_lvd_scenes(spec)
+        scenes = list(generate_lvd_scenes(spec))
         for name, (lo, hi) in (
             ("ivs", spec.scene.ivs_range),
             ("lvid", spec.scene.cavity_range),
@@ -197,3 +200,38 @@ class TestDatasetSpecs:
         scenes = generate_ef_scenes(EfDatasetSpec(n_videos=10, frame_dims=(16, 16), seed=5))
         efs = {s.ef_true for s in scenes}
         assert len(efs) == 10
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("ef", EfDatasetSpec(n_videos=4, frame_dims=(16, 16), n_beats=2, seed=5)),
+    ("lvd", LvdDatasetSpec(n_frames=4, scene=LvdSceneParams.for_frame((32, 32)), seed=5)),
+])
+def test_each_scene_is_written_before_the_next_is_drawn(tmp_path, monkeypatch, kind, spec):
+    # The scene a file comes from is the number in its name: video_0002_beat1.ctr
+    # or frame_0002.ctr.  Holding every scene before writing any kept all of a
+    # dataset's videos in memory at once.
+    events = []
+    generate = getattr(datasets, f"generate_{kind}_scenes")
+    write_tensor = datasets.write_tensor
+
+    def drawn(spec):
+        for i, scene in enumerate(generate(spec)):
+            events.append(("draw", i))
+            yield scene
+
+    def written(path, values):
+        events.append(("write", int(Path(path).stem.split("_")[1])))
+        write_tensor(path, values)
+
+    monkeypatch.setattr(datasets, f"generate_{kind}_scenes", drawn)
+    monkeypatch.setattr(datasets, "write_tensor", written)
+    getattr(datasets, f"write_{kind}_dataset")(tmp_path, spec)
+    scenes = [i for event, i in events if event == "draw"]
+    assert scenes == list(range(4))
+    last_drawn = -1
+    for event, i in events:
+        if event == "draw":
+            last_drawn = i
+        else:
+            assert i == last_drawn, events
+    assert {i for event, i in events if event == "write"} == set(scenes)
