@@ -12,8 +12,9 @@ all of its parallel work, passing parameters and running sums through the
 slots: each step's gradient terms, each step's optimizer update and each
 epoch's predictions.  For the update, the caller and each worker own one
 contiguous range of the parameters laid end to end, hold that range's
-optimizer state, and step it with an ``("update", range)`` request;
-Adam and SGD are elementwise, so the bits are those of one whole step.
+optimizer state, and step it at the same time, each worker on an
+``("update", range)`` request; Adam and SGD are elementwise, so the bits
+are those of one whole step.
 ``map_in_order`` is a pool with no training work, opened for one map.
 A convolution's output slabs are independent of each other, so
 ``threaded_runs`` sweeps contiguous runs of them in threads that write
@@ -52,6 +53,12 @@ MIN_ITEMS_PER_WORKER = 32
 # that gained in the measured training runs (see CHANGES.md and
 # BENCH_*.json).
 MIN_VALUES_PER_GRAD_WORKER = 2**13
+
+# Values per block of a worker's add of its terms to the running sum: one
+# block of the sum (128 KB) stays in cache while every term's block is added
+# to it, where whole rows passed over the whole sum once per term.  The
+# timings are in CHANGES.md.
+ADD_BLOCK = 2**14
 
 # True in a process while it runs a forked map, and in every worker, so a
 # nested map runs in process instead of forking again.
@@ -341,6 +348,16 @@ def _outside(arrays: list[np.ndarray], flat: np.ndarray, a: int, b: int) -> list
     return _pairs(arrays, flat, 0, a) + _pairs(arrays, flat, b, flat.size)
 
 
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
+    """``for row in rows: total += row``, with its bits, one block of
+    ``ADD_BLOCK`` values at a time, so that each block of *total* stays in
+    cache while every row is added to it."""
+    for a in range(0, total.size, ADD_BLOCK):
+        block = total[a : a + ADD_BLOCK]
+        for row in rows:
+            block += row[a : a + ADD_BLOCK]
+
+
 def _blocks(sizes: list[int], most: int) -> list[int]:
     """Bounds of the most contiguous blocks, at most *most*, of near-equal
     counts of *sizes* that each sum to ``MIN_VALUES_PER_GRAD_WORKER`` or
@@ -386,25 +403,29 @@ class GradientPool:
     near-equal length per process: the first for the caller, then one for
     each worker.  Each range has its own *optimizer* step, made in the
     process that owns the range at its first update, so its optimizer
-    state lives only there.  Between steps the parameters change only
-    through ``update``, which steps every range.  With no worker, the
+    state lives only there.  While the pool is open the parameters change
+    only through ``update``, which steps every range: a worker holds the
+    values of its fork and then of each update.  With no worker, the
     caller's range is all of *params*.
 
     Each worker shares one anonymous ``mmap`` slot the size of *params*
     with the caller.  A step (``start``, then ``add_terms``, then
-    ``update``) writes the parameters outside the worker's own range into
-    the slot of each worker it uses and sends that worker the indices of
-    its block; the worker computes its block's terms into private memory.
-    Once the caller has added its own block's terms, it writes that partial
-    sum into the slot, the worker adds its terms to it in sample order, and
-    the caller reads it back.  ``update`` then puts the full sum's range of
-    each worker into its slot, where the last worker's add already left
-    it, and asks every worker, also one that computed no terms, to step its
-    range from there and write the new values back.  Meanwhile the caller
-    steps its own range, then reads the workers' ranges.  So a step sends
-    each worker at most three requests.  ``predict_all`` writes the
-    parameters likewise and maps *predict* over *evaluated* in contiguous
-    blocks, the first in the caller.
+    ``update``) sends each worker it uses the indices of its block, and the
+    worker computes its block's terms into private memory.  Once the
+    caller has added its own block's terms, it writes that partial sum into
+    the slot and sends ``("add",)`` at once, so a worker still computing
+    adds its terms to the sum, in sample order, as soon as it has them; the
+    caller reads the sum back after the last worker's add.  ``update`` then
+    puts the full sum's range of each worker into its slot, where the last
+    worker's add already left it, and asks every worker, also one that
+    computed no terms, to step its range from there and write the new
+    values back.  Meanwhile the caller steps its own range, then reads the
+    workers' ranges.  Last, it writes the parameters outside each worker's
+    range into its slot and sends ``("load", own)``: the worker loads them
+    while the caller goes on to the next batch, and its reply, read before
+    the caller next writes the slot, says the slot is free.  So a step
+    sends each worker four requests.  ``predict_all`` maps *predict* over
+    *evaluated* in contiguous blocks, the first in the caller.
 
     Use the pool as a context manager: leaving it closes every pipe and
     reaps every worker, and so does a step or map that raises.  Once its
@@ -427,47 +448,48 @@ class GradientPool:
         self._evaluated = evaluated = list(evaluated)
         self._active: list[tuple[int, int]] = []  # this step's workers and first samples
         self._summed = None  # the worker whose slot holds the last full gradient sum
+        self._loading: set[int] = set()  # workers whose "load" reply is unread
         terms = np.empty((0, 0))  # a worker's terms of its block, one per row
         n_terms = 0
         step = None  # a worker's range's optimizer step, made at its first update
 
         def serve(request, slot: np.ndarray):
-            """A worker's reply to ``("step", own, n, indices)``: the block's
-            terms computed from the parameters in *slot*, and its loss values
-            returned.  To ``("add",)``: the terms added to *slot* in sample
-            order.  To ``("update", own)``: the worker's range *own* of the
+            """A worker's reply to ``("load", own)``: the parameters outside
+            its range *own* copied from *slot*; within it, its own are the
+            newest.  To ``("step", n, indices)``: the block's terms of an
+            *n*-sample batch gradient computed into private memory, and their
+            loss values returned.  To ``("add",)``: the terms added to *slot*
+            in sample order.  To ``("update", own)``: the range *own* of the
             parameters stepped from the gradient in *slot*, and written back
-            into it.  To ``("predict", own, block)``: *predict* over that
-            slice of *evaluated*, from the parameters in *slot*.  A worker
-            loads the parameters outside *own* only: within it, its own are
-            the newest.  It refers to no pool: in a reference cycle, a pool
+            into it.  To ``("predict", block)``: *predict* over that slice of
+            *evaluated*.  It refers to no pool: in a reference cycle, a pool
             would keep its slots mapped until a full collection."""
             nonlocal terms, n_terms, step
-            if request[0] == "add":
-                for row in terms[:n_terms]:
-                    slot += row
-                return None
-            a, b = request[1]
-            if request[0] == "update":
-                own = _pairs(params, slot, a, b)
+            kind = request[0]
+            if kind == "load":
+                for p, s in _outside(params, slot, *request[1]):
+                    p[...] = s
+            elif kind == "predict":
+                return [predict(x) for x in evaluated[request[1]]]
+            elif kind == "step":
+                _, n, indices = request
+                if len(terms) < len(indices):
+                    terms = np.empty((len(indices), slot.size))
+                n_terms, values = len(indices), []
+                for row, i in zip(terms, indices):
+                    values.append(term(items[i], n))
+                    np.concatenate([g.ravel() for g in grads], out=row)
+                return values
+            elif kind == "add":
+                _add_rows(slot, terms[:n_terms])
+            elif kind == "update":
+                own = _pairs(params, slot, *request[1])
                 if step is None:
                     step = optimizer([p for p, _ in own])
                 step([s for _, s in own])
                 for p, s in own:
                     s[...] = p
-                return None
-            for p, s in _outside(params, slot, a, b):
-                p[...] = s
-            if request[0] == "predict":
-                return [predict(x) for x in evaluated[request[2]]]
-            _, _, n, indices = request
-            if len(terms) < len(indices):
-                terms = np.empty((len(indices), slot.size))
-            n_terms, values = len(indices), []
-            for row, i in zip(terms, indices):
-                values.append(term(items[i], n))
-                np.concatenate([g.ravel() for g in grads], out=row)
-            return values
+            return None
 
         most = sum(sorted(sizes)[-batch_size:])  # values in the largest batch
         self._eval_blocks = _n_blocks(len(self._evaluated), MIN_ITEMS_PER_WORKER)
@@ -500,20 +522,20 @@ class GradientPool:
                 "the pool's workers were closed, and with them the optimizer state "
                 f"of the parameters from {self._bounds[1]} on")
 
-    def _send(self, k: int, kind: str, *args) -> None:
-        """Write the current parameters outside worker *k*'s range into its
-        slot, then send it the request *kind*, its range and *args*."""
-        own = self._own(k)
-        for p, s in _outside(self._params, self._workers.slots[k], *own):
-            s[...] = p
-        self._summed = None
-        self._workers.ask(k, (kind, own, *args))
+    def _ready(self, k: int) -> None:
+        """Read worker *k*'s reply to its last ``("load", own)`` if it is
+        unread: the worker has then loaded the parameters, and its slot is
+        free for the caller to write."""
+        if k in self._loading:
+            self._loading.discard(k)
+            self._workers.answer(k, "loading parameters")
 
     def start(self, batch, n: int) -> int:
-        """Send each worker the current parameters and its block of *batch*,
-        a step of an *n*-sample batch gradient; returns how many leading
-        samples of *batch* the caller computes itself.  *batch* holds items
-        of the pool's *items*, the same objects, which are sent by index.
+        """Send each worker its block of *batch*, a step of an *n*-sample
+        batch gradient from the parameters of the last update; returns how
+        many leading samples of *batch* the caller computes itself.  *batch*
+        holds items of the pool's *items*, the same objects, which are sent
+        by index.
 
         The batch is cut into the caller's block 0 and at most one block per
         worker: as many contiguous blocks of near-equal sample counts as
@@ -525,7 +547,7 @@ class GradientPool:
         try:
             for k, (a, b) in enumerate(zip(bounds[1:], bounds[2:])):
                 self._active.append((k, a))
-                self._send(k, "step", n, indices[a:b])
+                self._workers.ask(k, ("step", n, indices[a:b]))
         except BaseException:
             self.close()
             raise
@@ -536,25 +558,34 @@ class GradientPool:
         the caller's block, in sample order; return their loss values in
         sample order.
 
-        The running sum passes from *grads* into each worker's slot and
-        back, in worker order, one ``("add",)`` request each, so it is
-        ``((0 + c0) + c1) + ...`` as in process.  A worker's exception is
-        raised as it was raised there; a worker that ends without its terms
-        raises ChildProcessError.
+        The running sum passes from *grads* through each worker's slot, in
+        worker order, and back into *grads*, one ``("add",)`` request each,
+        so it is ``((0 + c0) + c1) + ...`` as in process.  A worker is sent
+        its ``("add",)`` as soon as the sum is in its slot, which the caller
+        writes once the worker has loaded the last update's parameters from
+        there, so a worker still computing its terms adds them to the sum
+        without waiting for the caller.  A worker's exception is raised as it
+        was raised there; a worker that ends without its terms raises
+        ChildProcessError.
         """
-        values = []
+        values, slots, total = [], self._workers.slots, None
         try:
             for k, a in self._active:
                 what = f"for samples from {a} on"
-                values.extend(self._workers.answer(k, what))
-                whole = _pairs(grads, self._workers.slots[k], 0, self._bounds[-1])
-                for g, s in whole:
-                    s[...] = g
+                self._ready(k)
+                if total is None:
+                    for g, s in _pairs(grads, slots[k], 0, slots[k].size):
+                        s[...] = g
+                else:
+                    slots[k][...] = total
                 self._workers.ask(k, ("add",))
+                values.extend(self._workers.answer(k, what))
                 self._workers.answer(k, what)
-                for g, s in whole:
-                    g[...] = s
+                total = slots[k]
                 self._summed = k
+            if total is not None:
+                for g, s in _pairs(grads, total, 0, total.size):
+                    g[...] = s
         except BaseException:
             self.close()
             raise
@@ -564,9 +595,10 @@ class GradientPool:
     def update(self, grads: list[np.ndarray]) -> None:
         """Step the parameters from the summed gradient *grads*: every
         worker steps its range in its own process while the caller steps
-        its range, then the caller reads the workers' new values.  The
-        optimizer is elementwise, so the bits are those of one step over
-        all of *params*.  A worker that ends without its update raises
+        its range, then the caller reads the workers' new values and sends
+        each worker the values outside its range to load.  The optimizer is
+        elementwise, so the bits are those of one step over all of
+        *params*.  A worker that ends without its update raises
         ChildProcessError, which names the update.
         """
         self._check_workers()
@@ -574,6 +606,7 @@ class GradientPool:
         try:
             for k in range(len(self._workers)):
                 own = self._own(k)
+                self._ready(k)
                 if k != self._summed:
                     for g, s in _pairs(grads, slots[k], *own):
                         s[...] = g
@@ -587,6 +620,12 @@ class GradientPool:
                 self._workers.answer(k, f"updating parameters from {own[0]} on")
                 for p, s in _pairs(self._params, slots[k], *own):
                     p[...] = s
+            for k in range(len(self._workers)):
+                own = self._own(k)
+                for p, s in _outside(self._params, slots[k], *own):
+                    s[...] = p
+                self._workers.ask(k, ("load", own))
+                self._loading.add(k)
         except BaseException:
             self.close()
             raise
@@ -611,10 +650,11 @@ class GradientPool:
         bounds = [len(evaluated) * k // n_blocks for k in range(n_blocks + 1)]
         try:
             for k in range(n_blocks - 1):
-                self._send(k, "predict", slice(bounds[k + 1], bounds[k + 2]))
+                self._workers.ask(k, ("predict", slice(bounds[k + 1], bounds[k + 2])))
             _in_map = True
             results = [predict(x) for x in evaluated[: bounds[1]]]
             for k in range(n_blocks - 1):
+                self._ready(k)
                 results.extend(self._workers.answer(k, f"mapping items from {bounds[k + 1]} on"))
             return results
         except BaseException:
@@ -627,4 +667,5 @@ class GradientPool:
         """Close every pipe, so that each worker reads EOF or fails its
         write and exits, then reap every worker."""
         self._active = []
+        self._loading = set()
         self._workers.close()

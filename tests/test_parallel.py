@@ -754,6 +754,56 @@ class TestRangeUpdates:
         assert_no_children()
         assert open_fds() == fds
 
+    def test_requests_overlap_the_callers_work(self, grad_forks, monkeypatch):
+        # A worker loads the caller's new parameters right after an update,
+        # while the caller reads the workers' ranges, so the next step sends
+        # it only its indices.  Its "load" reply says the slot is free: the
+        # caller then puts its partial sum there and asks for the add while
+        # the worker may still be computing its terms.
+        events = []
+        ask, answer = parallel._Workers.ask, parallel._Workers.answer
+
+        def logged_ask(workers, k, request):
+            events.append((k, request[0]))
+            ask(workers, k, request)
+
+        def logged_answer(workers, k, what):
+            events.append((k, "answer"))
+            return answer(workers, k, what)
+
+        monkeypatch.setattr(parallel._Workers, "ask", logged_ask)
+        monkeypatch.setattr(parallel._Workers, "answer", logged_answer)
+        params, grads = [np.linspace(-1.0, 1.0, 7)], [np.zeros(7)]
+        items = [np.arange(7.0) * (k + 1) for k in range(n_workers() + 1)]
+        config = TrainConfig(learning_rate=0.1)
+        with parallel.GradientPool(None, [], term=item_term(grads), items=items,
+                                   sizes=[7] * len(items), params=params, grads=grads,
+                                   optimizer=lambda v: make_optimizer(config, v),
+                                   batch_size=len(items)) as pool:
+            for _ in range(2):
+                step_of_a_pool(pool, items, grads)
+        first = [what for k, what in events if k == 0]
+        step = ["step", "add", "answer", "answer", "update", "answer", "load"]
+        assert first == step + ["step", "answer", *step[1:]]
+        assert_no_children()
+
+    def test_blocked_add_keeps_the_bits_of_rows_added_in_turn(self):
+        # blocks that end inside the sum, and values whose sums round, cancel,
+        # overflow, underflow and carry the sign of zero
+        rng = np.random.default_rng(11)
+        size = 2 * parallel.ADD_BLOCK + 5
+        special = np.array([-0.0, 0.0, 1e308, -1e308, 5e-324, -5e-324, np.inf, 1.0])
+        rows = rng.standard_normal((4, size)) * 10.0 ** rng.integers(-300, 300, (4, size))
+        rows[:, ::97] = rng.choice(special, size=rows[:, ::97].shape)
+        start = rng.standard_normal(size)
+        start[::89] = -0.0
+        expected, total = start.copy(), start.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in rows:
+                expected += row
+            parallel._add_rows(total, rows)
+        assert total.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("how", ["closed", "stopped"])
     def test_step_after_the_workers_closed_raises(self, grad_forks, how):
         # Only the workers held their ranges' optimizer state: stepping those
